@@ -54,7 +54,7 @@ func BenchmarkBatchMultiply(b *testing.B) {
 // facade's bucket engine.
 func BenchmarkMultiBFS(b *testing.B) {
 	a, _, _ := fixtures()
-	mu := spmspv.New(a, spmspv.Options{Threads: benchThreads, SortOutput: true})
+	mu := newMultiplier(b, a, spmspv.Bucket, spmspv.Options{Threads: benchThreads, SortOutput: true})
 	sources := spmspv.SpreadSources(a.NumCols, 0, 8)
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

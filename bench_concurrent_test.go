@@ -24,7 +24,7 @@ import (
 func BenchmarkConcurrentMultiply(b *testing.B) {
 	a, frontiers, _ := fixtures()
 	x := bestFrontier(frontiers, 1<<11)
-	mu := spmspv.New(a, spmspv.Options{Threads: 1, SortOutput: true})
+	mu := newMultiplier(b, a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true})
 	for _, gs := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("goroutines=%d", gs), func(b *testing.B) {
 			var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func BenchmarkSemiringDispatch(b *testing.B) {
 		{"combblas-spa", spmspv.CombBLASSPA},
 		{"graphmat", spmspv.GraphMat},
 	} {
-		mu := spmspv.NewWithAlgorithm(a, eng.alg, spmspv.Options{Threads: benchThreads, SortOutput: true})
+		mu := newMultiplier(b, a, eng.alg, spmspv.Options{Threads: benchThreads, SortOutput: true})
 		for _, v := range semirings {
 			b.Run(eng.name+"/"+v.name, func(b *testing.B) {
 				y := sparse.NewSpVec(0, 0)

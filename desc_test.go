@@ -191,8 +191,7 @@ func TestMultBatchNativeBitmaps(t *testing.T) {
 }
 
 // TestMultTranspose pins Desc.Transpose as the §II-A left
-// multiplication: identical to multiplying the explicit transpose, and
-// to the deprecated MultiplyLeft.
+// multiplication: identical to multiplying the explicit transpose.
 func TestMultTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := testutil.RandomCSC(rng, 200, 320, 4)
@@ -207,9 +206,6 @@ func TestMultTranspose(t *testing.T) {
 	mu.Mult(spmspv.NewFrontier(x), yf, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 	if !yf.List().EqualValues(want, 1e-9) {
 		t.Fatal("Mult with Transpose diverged from explicit-transpose oracle")
-	}
-	if legacy := mu.MultiplyLeft(x, spmspv.Arithmetic); !legacy.EqualValues(want, 1e-9) {
-		t.Fatal("MultiplyLeft diverged from Mult with Transpose")
 	}
 }
 
@@ -238,9 +234,9 @@ func TestMultSemiringByName(t *testing.T) {
 	}
 }
 
-// TestNewMultiplierErrors pins the constructor redesign: the functional-
-// options constructor reports failure where NewWithAlgorithm silently
-// fell back.
+// TestNewMultiplierErrors pins the constructor's error contract: an
+// unregistered algorithm or a nil matrix is an error, never a silently
+// different engine.
 func TestNewMultiplierErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testutil.RandomCSC(rng, 50, 50, 3)

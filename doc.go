@@ -52,24 +52,22 @@
 // The JSON-serializable Desc carries the mask and its polarity, the
 // accumulate switch, the transpose (§II-A left multiplication), the
 // requested output representation, the batch width and the semiring
-// name; MultBatch is the same call over a batch with per-slot masks.
-// The legacy Multiply* methods remain as thin deprecated wrappers:
+// name; MultBatch is the same call over a batch with per-slot masks:
 //
-//	Multiply(x, sr) / MultiplyInto(x, y, sr)   →  Mult(xf, yf, sr, Desc{})
-//	MultiplyMasked(x, y, sr, mask, comp)       →  Mult(xf, yf, sr, Desc{Mask: mask, Complement: comp})
-//	MultiplyFrontier(xf, yf, sr)               →  Mult(xf, yf, sr, Desc{})
-//	MultiplyFrontierMasked(xf, yf, sr, m, c)   →  Mult(xf, yf, sr, Desc{Mask: m, Complement: c})
-//	MultiplyFrontierInto(xf, y, sr)            →  Mult(xf, yf, sr, Desc{Output: OutputList})
-//	MultiplyLeft(x, sr)                        →  Mult(xf, yf, sr, Desc{Transpose: true})
-//	MultiplyAccum/MultiplyAccumInto            →  Mult(xf, yf, sr, Desc{Accum: true}) (yf's prior contents accumulate)
-//	MultiplyBatch(xs, ys, sr)                  →  MultBatch(xfs, yfs, sr, Desc{})
-//	MultiplyBatchInto (ROADMAP item)           →  MultBatch(xfs, yfs, sr, Desc{}) — slot bitmaps now emitted natively
+//	Mult(xf, yf, sr, Desc{})                            plain product
+//	Mult(xf, yf, sr, Desc{Mask: m, Complement: c})      ⟨A·x, mask⟩, pushed into the merge (§V)
+//	Mult(xf, yf, sr, Desc{Transpose: true})             xᵀ·A, the left multiplication
+//	Mult(xf, yf, sr, Desc{Accum: true})                 y ← y ⊕ A·x (yf's prior contents accumulate)
+//	Mult(xf, yf, sr, Desc{Output: OutputList})          list only, bitmap left lazy
+//	MultBatch(xfs, yfs, sr, Desc{Masks: ms})            the same per slot, one pass
 //
-// Capability negotiation is compiled, not repeated: the Multiplier
-// caches one execution plan per descriptor shape (mask? accum? output
-// representation?), resolving the optional engine interfaces once, so
-// steady-state Mult calls perform no type assertions — within noise of
-// the specialized legacy methods. Request/Response wrap a whole call
+// MultiplyInto(x, y, sr) is the list-only form of Mult with a zero
+// Desc, for callers holding plain vectors. Capability negotiation is
+// compiled, not repeated: the Multiplier caches one execution plan per
+// descriptor shape (mask? accum? output representation?), resolving
+// the optional engine interfaces once, so steady-state Mult calls
+// perform no type assertions — within noise of the bare MultiplyInto
+// primitive. Request/Response wrap a whole call
 // as JSON (Multiplier.Do executes one) — the wire contract the serving
 // layer speaks.
 //
@@ -193,14 +191,14 @@
 // public facade, the graph algorithms, the benchmark harness and the
 // commands all construct engines exclusively through that registry;
 // NewMultiplier(a, opts...) is the constructor — functional options,
-// an error (not a silent Bucket fallback) for unregistered algorithms
-// — and Algorithms lists what is registered.
+// an error (never a different engine) for unregistered algorithms —
+// and Algorithms lists what is registered.
 //
 // # Concurrency contract
 //
 // A Multiplier (and every registry-constructed engine) is safe for
-// concurrent Multiply / MultiplyInto / MultiplyMasked / MultiplyLeft /
-// MultiplyAccumInto calls from any number of goroutines. Per-call
+// concurrent Mult / MultBatch / MultiplyInto / Do calls, under any
+// descriptor, from any number of goroutines. Per-call
 // scratch state (the bucket workspace of §III-A, the baselines'
 // row-split SPAs, heaps and bitvectors) lives in a fixed array of
 // slot-pinned workspaces (internal/par.Slots): a caller claims the
@@ -210,8 +208,8 @@
 // slot. Callers beyond that spill to a sync.Pool fallback (slot -1),
 // so oversubscription degrades to pooled allocation instead of
 // blocking. Work counters are folded into one aggregate under a lock
-// when each call retires, and the transpose engine behind MultiplyLeft
-// is built exactly once. Parallelism also exists inside each call
+// when each call retires, and the transpose engine behind
+// Desc.Transpose is built exactly once. Parallelism also exists inside each call
 // (Options.Threads), so throughput can be scaled either way.
 //
 // # Scheduler: the persistent work-stealing executor
@@ -250,17 +248,15 @@
 // algorithms scan, or the O(n) bitmap GraphMat's matrix-driven loop
 // probes. A Frontier (NewFrontier) carries both, materializing the
 // bitmap lazily at most once and sharing it across consumers; feed it
-// through Multiplier.MultiplyFrontierInto and a bitmap-preferring
-// engine (GraphMat, the Hybrid engine's matrix-driven calls) skips its
-// per-call list→bitmap conversion whenever an earlier consumer already
-// paid for it. Conversions are pooled and counted
-// (Counters.FrontierConversions).
+// through Multiplier.Mult and a bitmap-preferring engine (GraphMat,
+// the Hybrid engine's matrix-driven calls) skips its per-call
+// list→bitmap conversion whenever an earlier consumer already paid for
+// it. Conversions are pooled and counted (Counters.FrontierConversions).
 //
 // # Output frontiers and masked pipelines
 //
-// Outputs are symmetric with inputs: Multiplier.MultiplyFrontier (and
-// the masked MultiplyFrontierMasked) write the result into an output
-// Frontier —
+// Outputs are symmetric with inputs: Multiplier.Mult writes the result
+// (masked or not) into an output Frontier —
 //
 //	input Frontier ──> engine ──> output Frontier ──> next input ...
 //

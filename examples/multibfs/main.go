@@ -43,7 +43,7 @@ func main() {
 	sources := spmspv.SpreadSources(a.NumCols, 0, *k)
 
 	// Batched: all live frontiers of a level go through one
-	// MultiplyBatch call.
+	// MultBatch call.
 	start := time.Now()
 	res := spmspv.MultiBFS(mu, sources)
 	batched := time.Since(start)

@@ -80,7 +80,7 @@ func TestSharedExecutorHammer(t *testing.T) {
 		if e%2 == 1 {
 			alg = spmspv.Hybrid
 		}
-		mu := spmspv.NewWithAlgorithm(a, alg, opt)
+		mu := newMultiplier(t, a, alg, opt)
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(seed int) {

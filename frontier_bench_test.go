@@ -17,7 +17,7 @@ import (
 func hybridForBench(b *testing.B, scale int) (*spmspv.Multiplier, *spmspv.Matrix) {
 	b.Helper()
 	a := spmspv.RMAT(spmspv.DefaultRMAT(scale), 3)
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Hybrid,
+	mu := newMultiplier(b, a, spmspv.Hybrid,
 		spmspv.Options{SortOutput: true, HybridThreshold: 0.02})
 	return mu, a
 }
@@ -40,9 +40,9 @@ func BenchmarkBFSMaskedFrontierPipeline(b *testing.B) {
 }
 
 // BenchmarkBFSMaskedPreRefactorLoop reproduces the pre-output-layer
-// masked BFS: every level's product lands in a bare list vector, the
-// next frontier is rebuilt entry by entry, and any bitmap the
-// matrix-driven side needs is re-derived from scratch.
+// masked BFS: every level's product is read back as a list, the next
+// frontier is rebuilt entry by entry into a fresh input frontier, and
+// any bitmap the matrix-driven side needs is re-derived from scratch.
 func BenchmarkBFSMaskedPreRefactorLoop(b *testing.B) {
 	mu, a := hybridForBench(b, 14)
 	n := a.NumCols
@@ -62,10 +62,12 @@ func BenchmarkBFSMaskedPreRefactorLoop(b *testing.B) {
 		x := spmspv.NewVector(n, 1)
 		x.Append(0, 0)
 		visited.SetFrom(x)
-		y := spmspv.NewVector(n, 0)
+		yf := mu.NewOutputFrontier()
+		d := spmspv.Desc{Mask: visited, Complement: true, Output: spmspv.OutputList}
 		for level := int32(1); x.NNZ() > 0; level++ {
 			levels++
-			mu.MultiplyMasked(x, y, spmspv.MinSelect2nd, visited, true)
+			mu.Mult(spmspv.NewFrontier(x), yf, spmspv.MinSelect2nd, d)
+			y := yf.List()
 			x.Reset(n)
 			for k, v := range y.Ind {
 				levelOf[v] = level
@@ -83,7 +85,8 @@ func BenchmarkBFSMaskedPreRefactorLoop(b *testing.B) {
 
 // BenchmarkMultiplyMaskedEngines times one masked multiply per
 // registered engine on a common frontier, the cross-engine comparison
-// masked BFS levels are made of.
+// masked BFS levels are made of. A fresh input frontier per op keeps
+// any list→bitmap input conversion inside the timed multiply.
 func BenchmarkMultiplyMaskedEngines(b *testing.B) {
 	a := spmspv.RMAT(spmspv.DefaultRMAT(13), 7)
 	n := a.NumCols
@@ -99,13 +102,14 @@ func BenchmarkMultiplyMaskedEngines(b *testing.B) {
 	mask.SetFrom(sel)
 
 	for _, alg := range spmspv.Algorithms() {
-		mu := spmspv.NewWithAlgorithm(a, alg,
+		mu := newMultiplier(b, a, alg,
 			spmspv.Options{SortOutput: true, HybridThreshold: 0.25})
 		b.Run(alg.String(), func(b *testing.B) {
-			y := spmspv.NewVector(0, 0)
+			yf := mu.NewOutputFrontier()
+			d := spmspv.Desc{Mask: mask, Complement: true, Output: spmspv.OutputList}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mu.MultiplyMasked(x, y, spmspv.MinSelect2nd, mask, true)
+				mu.Mult(spmspv.NewFrontier(x), yf, spmspv.MinSelect2nd, d)
 			}
 		})
 	}
@@ -115,7 +119,7 @@ func BenchmarkMultiplyMaskedEngines(b *testing.B) {
 // against the per-seed loop it replaces.
 func BenchmarkMultiClusterBatch(b *testing.B) {
 	a := spmspv.RMAT(spmspv.DefaultRMAT(12), 9)
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(b, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	seeds := spmspv.SpreadSources(a.NumCols, 1, 8)
 	opt := spmspv.ACLOptions{Epsilon: 1e-4}
 	b.Run("batched", func(b *testing.B) {

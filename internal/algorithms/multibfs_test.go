@@ -62,7 +62,7 @@ func TestMultiBFSMatchesSingleSourceBFS(t *testing.T) {
 }
 
 // TestMultiBFSLoopEngine runs the same searches through an engine with
-// no native batch path (the loop fallback in engine.MultiplyBatch) via
+// no native batch path (the compiled plan's loop fallback) via
 // an interface-stripped wrapper, checking the fallback's equivalence.
 func TestMultiBFSLoopEngine(t *testing.T) {
 	a := graphgen.RMAT(graphgen.DefaultRMAT(8), 4)

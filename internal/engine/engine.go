@@ -178,23 +178,6 @@ type BatchEngine interface {
 	MultiplyBatch(xs, ys []*sparse.SpVec, sr semiring.Semiring)
 }
 
-// MultiplyBatch runs a batch of multiplies through e: natively when e
-// implements BatchEngine, otherwise as a loop of Multiply calls. This
-// is the uniform entry point batch-level callers (multi-source BFS,
-// the facade) use so every registered engine accepts batches.
-func MultiplyBatch(e Engine, xs, ys []*sparse.SpVec, sr semiring.Semiring) {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("engine: MultiplyBatch with %d inputs but %d outputs", len(xs), len(ys)))
-	}
-	if be, ok := e.(BatchEngine); ok {
-		be.MultiplyBatch(xs, ys, sr)
-		return
-	}
-	for q := range xs {
-		e.Multiply(xs[q], ys[q], sr)
-	}
-}
-
 // Algorithm selects an SpMSpV engine.
 type Algorithm int
 

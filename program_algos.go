@@ -52,48 +52,6 @@ func BFSProgram(matrix string, maxLevels int, seed *Vector) *Program {
 	}}
 }
 
-// bfsFromLevels folds the per-level discovery vectors (each mult op's
-// output, in execution order) into a BFSResult, mirroring exactly what
-// algorithms.BFS records in-process: FrontierSizes counts nnz(x) per
-// multiply performed, and each discovered vertex's value is its parent.
-// exhausted reports that the program ran out of ops/iterations, which
-// is only an error if no empty level proved termination.
-func bfsFromLevels(n, source Index, levels []*Vector, exhausted bool, maxLevels int) (*BFSResult, error) {
-	res := &BFSResult{
-		Parents: make([]Index, n),
-		Levels:  make([]int32, n),
-	}
-	for i := range res.Parents {
-		res.Parents[i] = -1
-		res.Levels[i] = -1
-	}
-	res.Parents[source] = source
-	res.Levels[source] = 0
-
-	res.FrontierSizes = append(res.FrontierSizes, 1)
-	level := int32(0)
-	done := false
-	for _, y := range levels {
-		if y == nil {
-			return nil, fmt.Errorf("spmspv: program response missing a BFS level vector")
-		}
-		level++
-		for k, i := range y.Ind {
-			res.Levels[i] = level
-			res.Parents[i] = Index(y.Val[k])
-		}
-		if y.NNZ() == 0 {
-			done = true
-			break
-		}
-		res.FrontierSizes = append(res.FrontierSizes, y.NNZ())
-	}
-	if !done && exhausted {
-		return nil, fmt.Errorf("spmspv: BFS did not terminate within %d levels (raise maxLevels)", maxLevels)
-	}
-	return res, nil
-}
-
 // ProgramBFS runs the multi-level masked BFS as ONE round trip using
 // the constant-size loop program (see BFSProgram): the level loop
 // executes server-side, and only the per-level discovery vectors come
@@ -118,72 +76,45 @@ func ProgramBFS(ex Executor, matrix string, n Index, source Index, maxLevels int
 }
 
 // DecodeBFSProgramResponse folds a BFSProgram response — per-iteration
-// emissions of body op 0 — into a BFSResult. Shared by ProgramBFS and
-// the stored-procedure invoke path.
+// emissions of body op 0, the levels' discovery vectors in execution
+// order — into a BFSResult, mirroring exactly what algorithms.BFS
+// records in-process: FrontierSizes counts nnz(x) per multiply
+// performed, and each discovered vertex's value is its parent. Shared
+// by ProgramBFS and the stored-procedure invoke path; a response with
+// no empty level ran out of iterations and is an error.
 func DecodeBFSProgramResponse(resp *ProgramResponse, n, source Index, maxLevels int) (*BFSResult, error) {
-	var levels []*Vector
+	res := &BFSResult{
+		Parents: make([]Index, n),
+		Levels:  make([]int32, n),
+	}
+	for i := range res.Parents {
+		res.Parents[i] = -1
+		res.Levels[i] = -1
+	}
+	res.Parents[source] = source
+	res.Levels[source] = 0
+
+	res.FrontierSizes = append(res.FrontierSizes, 1)
+	level := int32(0)
 	for _, r := range resp.Results {
-		if r.Iter > 0 && r.BodyOp == 0 {
-			levels = append(levels, r.Y)
+		if r.Iter == 0 || r.BodyOp != 0 {
+			continue
 		}
-	}
-	return bfsFromLevels(n, source, levels, true, maxLevels)
-}
-
-// ProgramBFSUnrolled is the straight-line ancestor of ProgramBFS: the
-// same masked level step unrolled maxLevels times with "$k" refs and a
-// StopOnEmpty early exit, so a worst-case unroll costs only the levels
-// the graph has — but the program itself is O(maxLevels) ops where the
-// loop form is O(1). Kept as the test oracle for the loop construct
-// (identical results, op for op) and as the wire-bytes baseline in the
-// EXPERIMENTS.md comparison.
-func ProgramBFSUnrolled(ex Executor, matrix string, n Index, source Index, maxLevels int) (*BFSResult, error) {
-	if source < 0 || source >= n {
-		return nil, fmt.Errorf("spmspv: BFS source %d out of range [0,%d)", source, n)
-	}
-	if maxLevels <= 0 {
-		maxLevels = int(n)
-	}
-
-	prog := &Program{Matrix: matrix, StopOnEmpty: true}
-	prog.Ops = append(prog.Ops, ProgramOp{Op: "input", X: bfsSeed(n, source)}) // $0
-	frontier, visited := 0, 0
-	var multOps []int
-	for level := 0; level < maxLevels; level++ {
-		prog.Ops = append(prog.Ops, ProgramOp{
-			XRef:    ref(frontier),
-			MaskRef: ref(visited),
-			Desc:    Desc{Complement: true, Semiring: "bfs"},
-			Emit:    true,
-		})
-		y := len(prog.Ops) - 1
-		multOps = append(multOps, y)
-		prog.Ops = append(prog.Ops, ProgramOp{Op: "union", XRef: ref(visited), YRef: ref(y)})
-		visited = len(prog.Ops) - 1
-		prog.Ops = append(prog.Ops, ProgramOp{Op: "indices", XRef: ref(y)})
-		frontier = len(prog.Ops) - 1
-	}
-
-	resp, err := ex.Run(prog)
-	if err != nil {
-		return nil, err
-	}
-	emitted := make(map[int]*Vector, len(resp.Results))
-	for _, r := range resp.Results {
-		emitted[r.Op] = r.Y
-	}
-	var levels []*Vector
-	for _, opIdx := range multOps {
-		if opIdx >= resp.Steps {
-			break
+		y := r.Y
+		if y == nil {
+			return nil, fmt.Errorf("spmspv: program response missing a BFS level vector")
 		}
-		y, ok := emitted[opIdx]
-		if !ok {
-			return nil, fmt.Errorf("spmspv: program response missing emitted op %d", opIdx)
+		level++
+		for k, i := range y.Ind {
+			res.Levels[i] = level
+			res.Parents[i] = Index(y.Val[k])
 		}
-		levels = append(levels, y)
+		if y.NNZ() == 0 {
+			return res, nil
+		}
+		res.FrontierSizes = append(res.FrontierSizes, y.NNZ())
 	}
-	return bfsFromLevels(n, source, levels, resp.Steps == len(prog.Ops), maxLevels)
+	return nil, fmt.Errorf("spmspv: BFS did not terminate within %d levels (raise maxLevels)", maxLevels)
 }
 
 // pageRankDefaults mirrors algorithms.PageRankOptions' defaults.

@@ -7,8 +7,10 @@
 package spmspv_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	spmspv "spmspv"
@@ -247,6 +249,76 @@ func TestProgramValidateLoopGrammar(t *testing.T) {
 	}
 }
 
+// programBFSUnrolled is the straight-line ancestor of ProgramBFS: the
+// same masked level step unrolled n times with "$k" refs and a
+// StopOnEmpty early exit, so a worst-case unroll costs only the levels
+// the graph has — but the program itself is O(n) ops where the loop
+// form is O(1). It is the test oracle for the loop construct
+// (identical results, op for op).
+func programBFSUnrolled(ex spmspv.Executor, matrix string, n, source spmspv.Index) (*spmspv.BFSResult, error) {
+	ref := func(k int) string { return "$" + strconv.Itoa(k) }
+	seed := spmspv.NewVector(n, 1)
+	seed.Append(source, float64(source))
+	prog := &spmspv.Program{Matrix: matrix, StopOnEmpty: true}
+	prog.Ops = append(prog.Ops, spmspv.ProgramOp{Op: "input", X: seed}) // $0
+	frontier, visited := 0, 0
+	var multOps []int
+	for level := spmspv.Index(0); level < n; level++ {
+		prog.Ops = append(prog.Ops, spmspv.ProgramOp{
+			XRef:    ref(frontier),
+			MaskRef: ref(visited),
+			Desc:    spmspv.Desc{Complement: true, Semiring: "bfs"},
+			Emit:    true,
+		})
+		y := len(prog.Ops) - 1
+		multOps = append(multOps, y)
+		prog.Ops = append(prog.Ops, spmspv.ProgramOp{Op: "union", XRef: ref(visited), YRef: ref(y)})
+		visited = len(prog.Ops) - 1
+		prog.Ops = append(prog.Ops, spmspv.ProgramOp{Op: "indices", XRef: ref(y)})
+		frontier = len(prog.Ops) - 1
+	}
+
+	resp, err := ex.Run(prog)
+	if err != nil {
+		return nil, err
+	}
+	emitted := make(map[int]*spmspv.Vector, len(resp.Results))
+	for _, r := range resp.Results {
+		emitted[r.Op] = r.Y
+	}
+
+	// Fold the per-level discovery vectors into a BFSResult exactly as
+	// the in-process BFS records it: each discovered vertex's value is
+	// its parent, and FrontierSizes counts nnz(x) per multiply.
+	res := &spmspv.BFSResult{
+		Parents:       make([]spmspv.Index, n),
+		Levels:        make([]int32, n),
+		FrontierSizes: []int{1},
+	}
+	for i := range res.Parents {
+		res.Parents[i], res.Levels[i] = -1, -1
+	}
+	res.Parents[source], res.Levels[source] = source, 0
+	for level, opIdx := range multOps {
+		if opIdx >= resp.Steps {
+			break
+		}
+		y, ok := emitted[opIdx]
+		if !ok {
+			return nil, fmt.Errorf("program response missing emitted op %d", opIdx)
+		}
+		for k, i := range y.Ind {
+			res.Levels[i] = int32(level + 1)
+			res.Parents[i] = spmspv.Index(y.Val[k])
+		}
+		if y.NNZ() == 0 {
+			return res, nil
+		}
+		res.FrontierSizes = append(res.FrontierSizes, y.NNZ())
+	}
+	return nil, fmt.Errorf("BFS did not terminate within %d levels", n)
+}
+
 // TestProgramBFSLoopVsUnrolled runs the loop-based BFS against the
 // unrolled oracle AND the in-process algorithm on every engine — the
 // loop construct must not change a single parent, level or frontier
@@ -268,7 +340,7 @@ func TestProgramBFSLoopVsUnrolled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: loop BFS: %v", alg, err)
 		}
-		unrolled, err := spmspv.ProgramBFSUnrolled(st, "g", a.NumCols, 0, 0)
+		unrolled, err := programBFSUnrolled(st, "g", a.NumCols, 0)
 		if err != nil {
 			t.Fatalf("%v: unrolled BFS: %v", alg, err)
 		}

@@ -348,24 +348,18 @@ func mediaType(ct string) string {
 }
 
 // reqReaderPool recycles the buffered readers the mult/program
-// handlers sniff and decode request bodies through, subject to the
-// same knob as the encode pools (SetWireBufferPooling).
+// handlers sniff and decode request bodies through.
 var reqReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 16<<10) }}
 
 func getReqReader(r io.Reader) *bufio.Reader {
-	if !WireBufferPoolingEnabled() {
-		return bufio.NewReaderSize(r, 16<<10)
-	}
 	br := reqReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
 }
 
 func putReqReader(br *bufio.Reader) {
-	if WireBufferPoolingEnabled() {
-		br.Reset(nil)
-		reqReaderPool.Put(br)
-	}
+	br.Reset(nil)
+	reqReaderPool.Put(br)
 }
 
 // writeWire streams v to the client in the negotiated wire form. The

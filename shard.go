@@ -656,10 +656,11 @@ func (ss *ShardedStore) probeBand(w int, name string, view cluster.View) (*Store
 // (masks sliced to the band's row range) and, once dispatched, its
 // response or error.
 type shardCall struct {
-	band int
-	req  *Request
-	resp *Response
-	err  error
+	band    int
+	req     *Request
+	resp    *Response
+	err     error
+	replica int // replica within the band whose error err is
 }
 
 // retryableShardErr classifies shard-call failures. Transport faults
@@ -707,7 +708,6 @@ func (ss *ShardedStore) call(w, r int, req *Request) (*Response, error) {
 func (ss *ShardedStore) tryReplicas(c *shardCall, view cluster.View, stats *perf.ServeStats) {
 	g := ss.rgroups[c.band]
 	order := g.Order(view)
-	var lastErr error
 	for k, r := range order {
 		t := time.Now()
 		resp, err := ss.call(c.band, r, c.req)
@@ -718,17 +718,15 @@ func (ss *ShardedStore) tryReplicas(c *shardCall, view cluster.View, stats *perf
 			c.resp, c.err = resp, nil
 			return
 		}
+		c.err, c.replica = err, r
 		if !retryableShardErr(err) {
-			c.err = err
 			return
 		}
 		if k < len(order)-1 {
 			rs.ObserveFailovers(1)
 			stats.ObserveFailovers(1)
 		}
-		lastErr = err
 	}
-	c.err = lastErr
 }
 
 // dispatch executes every band call in parallel on the executor — one
@@ -764,7 +762,7 @@ func (ss *ShardedStore) dispatch(calls []*shardCall, stats *perf.ServeStats) err
 			if attempt >= ss.attempts || !retryableShardErr(c.err) {
 				we := AsWireError(c.err)
 				return wireErrorf(we.Code, "shard %d (%s): %s",
-					c.band, ss.labels[c.band][0], we.Message)
+					c.band, ss.labels[c.band][c.replica], we.Message)
 			}
 			retry = append(retry, c)
 		}

@@ -2,6 +2,7 @@ package spmspv_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -154,14 +155,15 @@ func TestReplicaAllDead(t *testing.T) {
 	a := testutil.RandomCSC(rng, 80, 80, 3)
 	opts := []spmspv.Option{spmspv.WithEngineOptions(engineOptions(1))}
 
-	f0 := &flakyBackend{inner: spmspv.NewStore(opts...)}
-	f1 := &flakyBackend{inner: spmspv.NewStore(opts...)}
+	f0 := &flakyBackend{inner: spmspv.NewStore(opts...), msg: "replica 0 down"}
+	f1 := &flakyBackend{inner: spmspv.NewStore(opts...), msg: "replica 1 down"}
 	backends := []spmspv.ShardBackend{
 		spmspv.NewStore(opts...), spmspv.NewStore(opts...), // band 0
 		f0, f1, // band 1
 	}
 	ss, err := spmspv.NewShardedStore(backends,
 		spmspv.WithReplication(2),
+		spmspv.WithShardLabels([]string{"b0-r0", "b0-r1", "b1-r0", "b1-r1"}),
 		spmspv.WithShardRetries(1),
 		spmspv.WithShardBackoff(time.Millisecond))
 	if err != nil {
@@ -178,6 +180,14 @@ func TestReplicaAllDead(t *testing.T) {
 		Desc: spmspv.Desc{Semiring: "arithmetic"}})
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("whole-group death: got %v, want an error naming shard 1", err)
+	}
+	// The error must carry the label of the replica whose error it
+	// reports, not the band's first replica.
+	for r, label := range []string{"b1-r0", "b1-r1"} {
+		msg := fmt.Sprintf("replica %d down", r)
+		if strings.Contains(err.Error(), msg) != strings.Contains(err.Error(), label) {
+			t.Fatalf("whole-group death: %q pairs the wrong replica label with its error", err)
+		}
 	}
 	stat, serr := ss.Stats("g")
 	if serr != nil || stat.Serve.Retries == 0 {

@@ -274,10 +274,12 @@ func TestShardedDiscovery(t *testing.T) {
 }
 
 // flakyBackend wraps a ShardBackend and fails Do calls while `down` is
-// set — the shard-death stand-in. It deliberately does NOT implement
+// set — the shard-death stand-in — with msg as the error message (a
+// generic one when empty). It deliberately does NOT implement
 // DoContext, so the coordinator exercises the plain-Do fallback path.
 type flakyBackend struct {
 	inner spmspv.ShardBackend
+	msg   string
 	down  atomic.Bool
 	calls atomic.Int64
 }
@@ -285,7 +287,11 @@ type flakyBackend struct {
 func (f *flakyBackend) Do(req *spmspv.Request) (*spmspv.Response, error) {
 	f.calls.Add(1)
 	if f.down.Load() {
-		return nil, &spmspv.WireError{Code: spmspv.CodeInternal, Message: "shard killed (injected)"}
+		msg := f.msg
+		if msg == "" {
+			msg = "shard killed (injected)"
+		}
+		return nil, &spmspv.WireError{Code: spmspv.CodeInternal, Message: msg}
 	}
 	return f.inner.Do(req)
 }

@@ -35,7 +35,7 @@ func TestConcurrentMultiplySharedMultiplier(t *testing.T) {
 			// Parallel subtests must not share the outer rng: give each
 			// its own deterministically seeded source.
 			rng := rand.New(rand.NewSource(42 + int64(alg)))
-			mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{Threads: 2, SortOutput: true})
+			mu := newMultiplier(t, a, alg, spmspv.Options{Threads: 2, SortOutput: true})
 
 			// Pre-build inputs and expected outputs serially so the
 			// parallel phase races only the multiplier.
@@ -72,6 +72,7 @@ func TestConcurrentMultiplySharedMultiplier(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					y := spmspv.NewVector(0, 0)
+					yf := mu.NewOutputFrontier()
 					for it := 0; it < iters; it++ {
 						tc := &cases[(g+it)%len(cases)]
 						switch it % 3 {
@@ -82,13 +83,13 @@ func TestConcurrentMultiplySharedMultiplier(t *testing.T) {
 								return
 							}
 						case 1:
-							mu.MultiplyMasked(tc.x, y, spmspv.Arithmetic, tc.mask, false)
-							if !y.EqualValues(tc.wantMasked, 1e-9) {
+							mu.Mult(spmspv.NewFrontier(tc.x), yf, spmspv.Arithmetic, spmspv.Desc{Mask: tc.mask})
+							if !yf.List().EqualValues(tc.wantMasked, 1e-9) {
 								errs <- "masked multiply diverged from reference under concurrency"
 								return
 							}
 						case 2:
-							yl := mu.MultiplyLeft(tc.x, spmspv.Arithmetic)
+							yl := mult(mu, tc.x, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 							if !yl.EqualValues(tc.wantLeft, 1e-9) {
 								errs <- "left multiply diverged from reference under concurrency"
 								return
@@ -146,34 +147,25 @@ func TestAllAlgorithmsConstructThroughRegistry(t *testing.T) {
 	}
 }
 
-// TestMultiplyAccumInto exercises the allocation-reusing accumulate:
-// repeated calls must agree with the allocating MultiplyAccum and reuse
-// the caller's output storage once it has grown.
+// TestMultiplyAccumInto exercises the iterative accumulate: a chain of
+// Desc{Accum: true} multiplies into ONE reused output frontier, where
+// each step's prior contents are the accumulator, must match the
+// sequential oracle at every step.
 func TestMultiplyAccumInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := testutil.RandomCSC(rng, 300, 300, 5)
-	mu := spmspv.New(a, spmspv.Options{Threads: 2, SortOutput: true})
+	mu := newMultiplier(t, a, spmspv.Bucket, spmspv.Options{Threads: 2, SortOutput: true})
 
-	accum := testutil.RandomVector(rng, 300, 50, true)
-	y := spmspv.NewVector(0, 0)
+	y := spmspv.NewFrontier(testutil.RandomVector(rng, 300, 50, true))
 	for trial := 0; trial < 10; trial++ {
 		x := testutil.RandomVector(rng, 300, 30+trial*20, true)
-		want := mu.MultiplyAccum(x, accum, spmspv.Arithmetic)
-		mu.MultiplyAccumInto(x, accum, y, spmspv.Arithmetic)
-		if !y.EqualValues(want, 1e-12) {
-			t.Fatalf("trial %d: MultiplyAccumInto differs from MultiplyAccum", trial)
+		want := descOracle(a, x, spmspv.Arithmetic, nil, false, y.List().Clone())
+		mu.Mult(spmspv.NewFrontier(x), y, spmspv.Arithmetic, spmspv.Desc{Accum: true})
+		if !y.List().EqualValues(want, 1e-9) {
+			t.Fatalf("trial %d: accumulated Mult diverged from oracle", trial)
 		}
-		if err := y.Validate(); err != nil {
+		if err := y.List().Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Steady state: with capacity established, the into-variant must not
-	// replace the caller's slices.
-	mu.MultiplyAccumInto(accum, accum, y, spmspv.Arithmetic)
-	indBefore := &y.Ind[:1][0]
-	mu.MultiplyAccumInto(accum, accum, y, spmspv.Arithmetic)
-	if indBefore != &y.Ind[:1][0] {
-		t.Error("MultiplyAccumInto reallocated the output despite sufficient capacity")
 	}
 }

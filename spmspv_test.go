@@ -3,9 +3,11 @@ package spmspv_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	spmspv "spmspv"
+	"spmspv/internal/algorithms"
 )
 
 func exampleMatrix(t *testing.T) *spmspv.Matrix {
@@ -23,13 +25,33 @@ func exampleMatrix(t *testing.T) *spmspv.Matrix {
 	return a
 }
 
+// newMultiplier builds a multiplier running alg with opt, failing the
+// test on a construction error.
+func newMultiplier(tb testing.TB, a *spmspv.Matrix, alg spmspv.Algorithm, opt spmspv.Options) *spmspv.Multiplier {
+	tb.Helper()
+	mu, err := spmspv.NewMultiplier(a, spmspv.WithAlgorithm(alg), spmspv.WithEngineOptions(opt))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mu
+}
+
+// mult returns the list result of one Mult of x under d into a fresh
+// output frontier.
+func mult(mu *spmspv.Multiplier, x *spmspv.Vector, sr spmspv.Semiring, d spmspv.Desc) *spmspv.Vector {
+	y := spmspv.NewOutputFrontier(0)
+	mu.Mult(spmspv.NewFrontier(x), y, sr, d)
+	return y.List()
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	a := exampleMatrix(t)
 	x := spmspv.NewVector(4, 2)
 	x.Append(0, 10)
 	x.Append(2, 1)
 
-	y := spmspv.Multiply(a, x, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
+	y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{})
 	// y = 10·col0 + 1·col2 = {1: 20, 2: 30, 3: 5}.
 	if y.NNZ() != 3 {
 		t.Fatalf("nnz(y) = %d, want 3", y.NNZ())
@@ -52,14 +74,14 @@ func TestAllAlgorithmsAgreeViaFacade(t *testing.T) {
 		spmspv.Bucket, spmspv.CombBLASSPA, spmspv.CombBLASHeap,
 		spmspv.GraphMat, spmspv.SortBased,
 	}
-	ref := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true}).
-		Multiply(x, spmspv.Arithmetic)
+	ref := mult(newMultiplier(t, a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true}),
+		x, spmspv.Arithmetic, spmspv.Desc{})
 	for _, alg := range algos {
-		mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{Threads: 4, SortOutput: true})
+		mu := newMultiplier(t, a, alg, spmspv.Options{Threads: 4, SortOutput: true})
 		if got := mu.Algorithm(); got != alg {
 			t.Errorf("Algorithm() = %v, want %v", got, alg)
 		}
-		y := mu.Multiply(x, spmspv.Arithmetic)
+		y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{})
 		if !y.EqualValues(ref, 1e-9) {
 			t.Errorf("%v disagrees with reference", alg)
 		}
@@ -75,7 +97,7 @@ func TestAllAlgorithmsAgreeViaFacade(t *testing.T) {
 
 func TestFacadeMultiplyInto(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	x := spmspv.NewVector(4, 1)
 	x.Append(1, 2)
 	y := spmspv.NewVector(0, 0)
@@ -98,13 +120,12 @@ func TestFacadeMaskedMultiply(t *testing.T) {
 	mask.SetFrom(mv)
 
 	for _, alg := range []spmspv.Algorithm{spmspv.Bucket, spmspv.GraphMat} {
-		mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{SortOutput: true})
-		y := spmspv.NewVector(0, 0)
-		mu.MultiplyMasked(x, y, spmspv.Arithmetic, mask, false)
+		mu := newMultiplier(t, a, alg, spmspv.Options{SortOutput: true})
+		y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Mask: mask})
 		if y.NNZ() != 1 || y.Ind[0] != 1 {
 			t.Errorf("%v: masked result %v %v, want {1:2}", alg, y.Ind, y.Val)
 		}
-		mu.MultiplyMasked(x, y, spmspv.Arithmetic, mask, true)
+		y = mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Mask: mask, Complement: true})
 		if y.NNZ() != 1 || y.Ind[0] != 2 {
 			t.Errorf("%v: complement-masked result %v %v, want {2:3}", alg, y.Ind, y.Val)
 		}
@@ -113,7 +134,7 @@ func TestFacadeMaskedMultiply(t *testing.T) {
 
 func TestFacadeGraphAlgorithms(t *testing.T) {
 	g := spmspv.TriangularMesh(16, 16, 3)
-	mu := spmspv.New(g, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(t, g, spmspv.Bucket, spmspv.Options{SortOutput: true})
 
 	res := spmspv.BFS(mu, 0)
 	if res.Levels[0] != 0 || res.Parents[0] != 0 {
@@ -141,13 +162,24 @@ func TestFacadeGraphAlgorithms(t *testing.T) {
 		t.Fatal("MIS result wrong length")
 	}
 
+	rowMate, colMate := spmspv.MaximalMatching(mu)
+	if msg := algorithms.ValidateMatching(g, rowMate, colMate); msg != "" {
+		t.Errorf("MaximalMatching: %s", msg)
+	}
+	// A second call runs on the cached transpose engine and must
+	// reproduce the first matching exactly.
+	rowMate2, colMate2 := spmspv.MaximalMatching(mu)
+	if !slices.Equal(rowMate2, rowMate) || !slices.Equal(colMate2, colMate) {
+		t.Error("second MaximalMatching on one Multiplier differs from the first")
+	}
+
 	dist := spmspv.SSSP(mu, 0)
 	if dist[0] != 0 || math.IsInf(dist[len(dist)-1], 1) {
 		t.Error("SSSP distances wrong on connected mesh")
 	}
 
 	norm := spmspv.NormalizeColumns(g)
-	pr := spmspv.PageRank(spmspv.New(norm, spmspv.Options{}), spmspv.PageRankOptions{})
+	pr := spmspv.PageRank(newMultiplier(t, norm, spmspv.Bucket, spmspv.Options{}), spmspv.PageRankOptions{})
 	var sum float64
 	for _, r := range pr.Ranks {
 		sum += r
@@ -205,16 +237,17 @@ func TestFacadeGenerators(t *testing.T) {
 
 func TestMultiplyLeft(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	// xᵀ·A with x = e_3 picks out row 3 of A: entries at cols 2 and 3.
 	x := spmspv.NewVector(4, 1)
 	x.Append(3, 1)
-	y := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	left := spmspv.Desc{Transpose: true}
+	y := mult(mu, x, spmspv.Arithmetic, left)
 	if y.NNZ() != 2 || y.Ind[0] != 2 || y.Val[0] != 5 || y.Ind[1] != 3 || y.Val[1] != 6 {
 		t.Errorf("left product = %v %v", y.Ind, y.Val)
 	}
 	// Second call reuses the cached transpose engine.
-	y2 := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	y2 := mult(mu, x, spmspv.Arithmetic, left)
 	if !y2.EqualValues(y, 0) {
 		t.Error("cached left engine gave a different result")
 	}
@@ -222,22 +255,21 @@ func TestMultiplyLeft(t *testing.T) {
 
 func TestMultiplyAccum(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMultiplier(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	x := spmspv.NewVector(4, 1)
 	x.Append(0, 1) // A·x = {1:2, 2:3}
 	accum := spmspv.NewVector(4, 2)
 	accum.Append(1, 10)
 	accum.Append(3, 7)
-	y := mu.MultiplyAccum(x, accum, spmspv.Arithmetic)
+	yf := spmspv.NewFrontier(accum.Clone())
+	mu.Mult(spmspv.NewFrontier(x), yf, spmspv.Arithmetic, spmspv.Desc{Accum: true})
+	y := yf.List()
 	want := spmspv.NewVector(4, 3)
 	want.Append(1, 12)
 	want.Append(2, 3)
 	want.Append(3, 7)
 	if !y.EqualValues(want, 0) {
 		t.Errorf("accum product = %v %v", y.Ind, y.Val)
-	}
-	if accum.NNZ() != 2 {
-		t.Error("accum input was modified")
 	}
 }
 

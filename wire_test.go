@@ -117,9 +117,9 @@ func TestRequestDoTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	want := baselinesReference(a.Transpose(), x, spmspv.Arithmetic, nil, false)
 	if !resp.Y.EqualValues(want, 1e-9) {
-		t.Fatal("transposed wire request diverged from MultiplyLeft")
+		t.Fatal("transposed wire request diverged from the explicit-transpose oracle")
 	}
 }
 
