@@ -1,7 +1,5 @@
 package sparse
 
-import "sort"
-
 // Element-wise sparse vector operations in the GraphBLAS style. Graph
 // algorithms built on SpMSpV need a small set of vector combinators —
 // union-add of two frontiers, filtering by predicate or mask,
@@ -20,9 +18,12 @@ func EwiseAdd(a, b *SpVec, add func(x, y float64) float64) *SpVec {
 // EwiseAddInto computes the element-wise union of a and b into dst,
 // reusing dst's storage (the into-variant for iterative callers). dst
 // must not alias a or b; collisions combine with add (nil means
-// arithmetic +). The result is sorted. When both inputs are sorted the
-// union is a linear two-pointer merge that allocates only if dst's
-// capacity is outgrown; unsorted inputs take a map-based fallback.
+// arithmetic +). The result is sorted. The union is one linear
+// two-pointer merge: an unsorted operand is first stably sorted into a
+// private copy (in iterative callers that is the small new frontier,
+// not the large sorted accumulator), so a level costs O(|a|+|b|) plus
+// the sort of the unsorted side. Equal indices fold a's entries first,
+// in input order, then b's.
 func EwiseAddInto(dst, a, b *SpVec, add func(x, y float64) float64) {
 	if a.N != b.N {
 		panic("sparse: EwiseAddInto dimension mismatch")
@@ -30,38 +31,18 @@ func EwiseAddInto(dst, a, b *SpVec, add func(x, y float64) float64) {
 	if add == nil {
 		add = func(x, y float64) float64 { return x + y }
 	}
-	if a.Sorted && b.Sorted {
-		ewiseAddSorted(dst, a, b, add)
-		return
+	ewiseAddSorted(dst, sortedOrCopy(a), sortedOrCopy(b), add)
+}
+
+// sortedOrCopy returns v when it is sorted and otherwise a stably sorted
+// copy, leaving the caller's vector untouched.
+func sortedOrCopy(v *SpVec) *SpVec {
+	if v.Sorted {
+		return v
 	}
-	acc := make(map[Index]float64, a.NNZ()+b.NNZ())
-	for k, i := range a.Ind {
-		if old, ok := acc[i]; ok {
-			acc[i] = add(old, a.Val[k])
-		} else {
-			acc[i] = a.Val[k]
-		}
-	}
-	for k, i := range b.Ind {
-		if old, ok := acc[i]; ok {
-			acc[i] = add(old, b.Val[k])
-		} else {
-			acc[i] = b.Val[k]
-		}
-	}
-	dst.Reset(a.N)
-	if cap(dst.Ind) < len(acc) {
-		dst.Ind = make([]Index, 0, len(acc))
-		dst.Val = make([]float64, 0, len(acc))
-	}
-	for i := range acc {
-		dst.Ind = append(dst.Ind, i)
-	}
-	sort.Slice(dst.Ind, func(x, y int) bool { return dst.Ind[x] < dst.Ind[y] })
-	for _, i := range dst.Ind {
-		dst.Val = append(dst.Val, acc[i])
-	}
-	dst.Sorted = true
+	c := v.Clone()
+	c.Sort()
+	return c
 }
 
 // ewiseAddSorted merges two sorted vectors into dst in one linear pass.
@@ -98,7 +79,10 @@ func ewiseAddSorted(dst, a, b *SpVec, add func(x, y float64) float64) {
 }
 
 // EwiseMult returns the element-wise intersection of a and b, combining
-// with mul (nil means arithmetic ×). The result is sorted.
+// with mul (nil means arithmetic ×). The result is sorted. Like
+// EwiseAddInto it is a linear two-pointer pass over stably sorted
+// operands; every entry of a whose index b holds is combined, in a's
+// input order, with b's last entry at that index.
 func EwiseMult(a, b *SpVec, mul func(x, y float64) float64) *SpVec {
 	if a.N != b.N {
 		panic("sparse: EwiseMult dimension mismatch")
@@ -106,17 +90,24 @@ func EwiseMult(a, b *SpVec, mul func(x, y float64) float64) *SpVec {
 	if mul == nil {
 		mul = func(x, y float64) float64 { return x * y }
 	}
-	bv := make(map[Index]float64, b.NNZ())
-	for k, i := range b.Ind {
-		bv[i] = b.Val[k]
-	}
+	a, b = sortedOrCopy(a), sortedOrCopy(b)
 	out := NewSpVec(a.N, min(a.NNZ(), b.NNZ()))
+	l := 0
 	for k, i := range a.Ind {
-		if y, ok := bv[i]; ok {
-			out.Append(i, mul(a.Val[k], y))
+		for l < len(b.Ind) && b.Ind[l] < i {
+			l++
+		}
+		for l+1 < len(b.Ind) && b.Ind[l+1] == i {
+			l++
+		}
+		if l == len(b.Ind) {
+			break
+		}
+		if b.Ind[l] == i {
+			out.Ind = append(out.Ind, i)
+			out.Val = append(out.Val, mul(a.Val[k], b.Val[l]))
 		}
 	}
-	out.Sort()
 	return out
 }
 

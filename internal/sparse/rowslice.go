@@ -75,25 +75,25 @@ func (b *BitVec) Slice(lo, hi Index) *BitVec {
 		hi = lo
 	}
 	out := NewBitVec(hi - lo)
-	if hi == lo {
-		return out
+	// Word-wise: output word w is source bits [lo+64w, lo+64w+64), a
+	// shifted pair of source words; bits past hi are cleared from the
+	// last word, and values are copied at the set bits only.
+	base, shift := int(lo)>>6, uint(lo)&63
+	for w := range out.Words {
+		word := b.Words[base+w] >> shift
+		if shift != 0 && base+w+1 < len(b.Words) {
+			word |= b.Words[base+w+1] << (64 - shift)
+		}
+		out.Words[w] = word
 	}
-	// Word-wise: visit only the set bits of the covered words instead of
-	// testing every row in the range.
-	loWord, hiWord := int(lo)>>6, int(hi-1)>>6
-	for w := loWord; w <= hiWord; w++ {
-		word := b.Words[w]
-		for word != 0 {
-			t := bits.TrailingZeros64(word)
-			word &^= 1 << uint(t)
-			i := Index(w<<6 + t)
-			if i < lo || i >= hi {
-				continue
-			}
-			li := i - lo
-			out.Words[int(li)>>6] |= 1 << (uint(li) & 63)
-			out.Val[li] = b.Val[i]
-			out.nset++
+	if tail := uint(hi-lo) & 63; tail != 0 {
+		out.Words[len(out.Words)-1] &= 1<<tail - 1
+	}
+	for w, word := range out.Words {
+		out.nset += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			li := w<<6 + bits.TrailingZeros64(word)
+			out.Val[li] = b.Val[int(lo)+li]
 		}
 	}
 	return out

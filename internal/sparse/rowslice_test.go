@@ -215,3 +215,68 @@ func TestBitVecSliceOrAt(t *testing.T) {
 		}
 	}
 }
+
+// TestBitVecSliceMatchesPerBit checks the word-level Slice against a
+// per-bit oracle on random, word-aligned, unaligned, empty, inverted
+// and clamped bounds: the words (tail bits included), the values (set
+// bits only — a stale value under a clear bit must not travel) and
+// Count.
+func TestBitVecSliceMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []Index{1, 63, 64, 65, 128, 200, 1000} {
+		for _, density := range []float64{0, 0.05, 0.5, 1} {
+			b := NewBitVec(n)
+			for i := range b.Val {
+				b.Val[i] = rng.NormFloat64() // stale under clear bits
+			}
+			x := NewSpVec(n, 0)
+			for i := Index(0); i < n; i++ {
+				if rng.Float64() < density {
+					x.Append(i, float64(i)+0.5)
+				}
+			}
+			b.SetFrom(x)
+			bounds := [][2]Index{{0, n}, {0, 0}, {n, n}, {n / 2, n / 2}, {n, 0}, {-5, n + 5}}
+			for _, w := range []Index{0, 64, 128} {
+				bounds = append(bounds, [2]Index{w, n}, [2]Index{w, w + 64}, [2]Index{1, w + 1})
+			}
+			for range 40 {
+				bounds = append(bounds, [2]Index{Index(rng.Intn(int(n) + 1)), Index(rng.Intn(int(n) + 1))})
+			}
+			for _, lh := range bounds {
+				lo, hi := lh[0], lh[1]
+				got := b.Slice(lo, hi)
+				want := sliceOracle(b, lo, hi)
+				if got.N != want.N || got.Count() != want.Count() {
+					t.Fatalf("n=%d [%d,%d): got n=%d count=%d, want n=%d count=%d",
+						n, lo, hi, got.N, got.Count(), want.N, want.Count())
+				}
+				for w := range want.Words {
+					if got.Words[w] != want.Words[w] {
+						t.Fatalf("n=%d [%d,%d) word %d: got %#x, want %#x", n, lo, hi, w, got.Words[w], want.Words[w])
+					}
+				}
+				for i := range want.Val {
+					if got.Val[i] != want.Val[i] {
+						t.Fatalf("n=%d [%d,%d) val %d: got %g, want %g", n, lo, hi, i, got.Val[i], want.Val[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sliceOracle is BitVec.Slice one bit at a time.
+func sliceOracle(b *BitVec, lo, hi Index) *BitVec {
+	lo, hi = max(lo, 0), min(hi, b.N)
+	hi = max(hi, lo)
+	out := NewBitVec(hi - lo)
+	x := NewSpVec(hi-lo, 0)
+	for i := lo; i < hi; i++ {
+		if v, ok := b.Get(i); ok {
+			x.Append(i-lo, v)
+		}
+	}
+	out.SetFrom(x)
+	return out
+}
