@@ -185,7 +185,8 @@ func CompilePlan(e Engine, s Shape) *Plan {
 	}
 
 	// Accumulate wraps the executors: product into pooled scratch, then
-	// a sorted-merge (or map) union with the output's prior contents.
+	// a sorted-merge union with the output's prior contents (an unsorted
+	// product is stably sorted first).
 	// The union invalidates any bitmap, so accumulated outputs are
 	// list-form; OutputBitmap still guarantees the bitmap by a counted
 	// materialization afterwards.

@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Element-wise sparse vector operations in the GraphBLAS style. Graph
 // algorithms built on SpMSpV need a small set of vector combinators —
 // union-add of two frontiers, filtering by predicate or mask,
@@ -35,13 +37,27 @@ func EwiseAddInto(dst, a, b *SpVec, add func(x, y float64) float64) {
 }
 
 // sortedOrCopy returns v when it is sorted and otherwise a stably sorted
-// copy, leaving the caller's vector untouched.
+// copy, leaving the caller's vector untouched. The copy sorts one
+// (index, position) key per entry — flipping the index's sign bit keeps
+// int32 order under unsigned comparison, and the position breaks ties
+// in input order — so it is an O(n log n) integer sort plus one gather,
+// however large the unsorted operand.
 func sortedOrCopy(v *SpVec) *SpVec {
 	if v.Sorted {
 		return v
 	}
-	c := v.Clone()
-	c.Sort()
+	keys := make([]uint64, len(v.Ind))
+	for k, i := range v.Ind {
+		keys[k] = uint64(uint32(i)^(1<<31))<<32 | uint64(k)
+	}
+	slices.Sort(keys)
+	c := NewSpVec(v.N, len(keys))
+	for _, key := range keys {
+		k := uint32(key)
+		c.Ind = append(c.Ind, v.Ind[k])
+		c.Val = append(c.Val, v.Val[k])
+	}
+	c.Sorted = true
 	return c
 }
 

@@ -280,20 +280,25 @@ func TestReduceAndScale(t *testing.T) {
 	}
 }
 
-// BenchmarkEwiseAdd measures the union shape of a served BFS level:
-// a large sorted accumulator (the visited set) plus a 64-entry unsorted
-// operand (the engine's new frontier), merged into a reused dst.
+// BenchmarkEwiseAdd measures the union into a reused dst of a large
+// sorted accumulator a and an unsorted operand b. The b=64 arms are a
+// served BFS level (the visited set plus the engine's new frontier);
+// the |b|=|a| arms are an unsorted operand as large as the accumulator
+// (PageRank's ranks ∪ α·y, an Accum multiply of a dense product), half
+// of whose indices collide with a.
 func BenchmarkEwiseAdd(b *testing.B) {
-	for _, na := range []int{4096, 262144} {
-		b.Run(fmt.Sprintf("a=%d/b=64", na), func(b *testing.B) {
+	for _, arm := range []struct{ na, nb int }{
+		{4096, 64}, {262144, 64}, {4096, 4096}, {262144, 262144},
+	} {
+		b.Run(fmt.Sprintf("a=%d/b=%d", arm.na, arm.nb), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			n := Index(2 * na)
-			a := NewSpVec(n, na)
-			for i := 0; i < na; i++ {
+			n := Index(2 * arm.na)
+			a := NewSpVec(n, arm.na)
+			for i := 0; i < arm.na; i++ {
 				a.Append(Index(2*i), 1)
 			}
-			y := NewSpVec(n, 64)
-			for _, i := range rng.Perm(int(n))[:64] {
+			y := NewSpVec(n, arm.nb)
+			for _, i := range rng.Perm(int(n))[:arm.nb] {
 				y.Append(Index(i), 2)
 			}
 			y.Sorted = false

@@ -38,24 +38,40 @@ func RowSlice(a *CSC, lo, hi Index) *CSC {
 		ColPtr:     make([]int64, a.NumCols+1),
 		SortedCols: a.SortedCols,
 	}
+	// band returns column j's entries and, when the column is sorted,
+	// the [b, e) range of them that falls in [lo, hi).
+	band := func(j Index) (rows []Index, vals []float64, b, e int) {
+		rows, vals = a.Col(j)
+		if !a.SortedCols {
+			return rows, vals, 0, len(rows)
+		}
+		b = sort.Search(len(rows), func(k int) bool { return rows[k] >= lo })
+		e = b + sort.Search(len(rows)-b, func(k int) bool { return rows[b+k] >= hi })
+		return rows, vals, b, e
+	}
+	// Count first, so the piece's storage is allocated at its exact
+	// size: a shard holds its band for its whole life, and append's
+	// growth slack would add up to a quarter again.
 	for j := Index(0); j < a.NumCols; j++ {
-		rows, vals := a.Col(j)
-		if a.SortedCols {
-			b := sort.Search(len(rows), func(k int) bool { return rows[k] >= lo })
-			e := b + sort.Search(len(rows)-b, func(k int) bool { return rows[b+k] >= hi })
-			for k := b; k < e; k++ {
-				out.RowIdx = append(out.RowIdx, rows[k]-lo)
-				out.Val = append(out.Val, vals[k])
-			}
-		} else {
-			for k, i := range rows {
-				if i >= lo && i < hi {
-					out.RowIdx = append(out.RowIdx, i-lo)
-					out.Val = append(out.Val, vals[k])
-				}
+		rows, _, b, e := band(j)
+		n := 0
+		for _, i := range rows[b:e] {
+			if i >= lo && i < hi {
+				n++
 			}
 		}
-		out.ColPtr[j+1] = int64(len(out.RowIdx))
+		out.ColPtr[j+1] = out.ColPtr[j] + int64(n)
+	}
+	out.RowIdx = make([]Index, 0, out.ColPtr[a.NumCols])
+	out.Val = make([]float64, 0, out.ColPtr[a.NumCols])
+	for j := Index(0); j < a.NumCols; j++ {
+		rows, vals, b, e := band(j)
+		for k := b; k < e; k++ {
+			if i := rows[k]; i >= lo && i < hi {
+				out.RowIdx = append(out.RowIdx, i-lo)
+				out.Val = append(out.Val, vals[k])
+			}
+		}
 	}
 	return out
 }

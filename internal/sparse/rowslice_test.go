@@ -20,7 +20,7 @@ func randomCSC(t *testing.T, rng *rand.Rand, m, n Index, nnz int) *CSC {
 
 // TestRowSliceMatchesExtract pins RowSlice to the established
 // ExtractSubmatrix semantics on full-width row slabs, for sorted and
-// unsorted column storage.
+// unsorted column storage, and checks the slab holds no growth slack.
 func TestRowSliceMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -62,6 +62,10 @@ func TestRowSliceMatchesExtract(t *testing.T) {
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("slice fails Validate: %v", err)
+		}
+		if cap(got.RowIdx) != len(got.RowIdx) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("slice [%d,%d): storage cap %d/%d for %d entries, want exact",
+				lo, hi, cap(got.RowIdx), cap(got.Val), got.NNZ())
 		}
 	}
 }

@@ -152,3 +152,30 @@ func BenchmarkProgramServe(b *testing.B) {
 		report(b, wire, trips, 0)
 	})
 }
+
+// BenchmarkProgramPageRank invokes the stored PageRank program with the
+// engine's unsorted list output (no SortOutput), so every iteration's
+// ranks ∪ α·y merges the sorted rank vector with an unsorted product
+// of up to n entries — the large-unsorted-operand shape of the union.
+func BenchmarkProgramPageRank(b *testing.B) {
+	a := spmspv.NormalizeColumns(spmspv.ErdosRenyi(1<<15, 8, 99))
+	opt := spmspv.PageRankOptions{Damping: 0.85, Tol: 1e-9, MaxIter: 20}
+	st := spmspv.NewStore(spmspv.WithEngineOptions(spmspv.Options{Threads: 1, HybridThreshold: 0.25}))
+	if err := st.Put("g", a); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.PutProgram("pagerank", spmspv.PageRankProgram("g", opt, nil)); err != nil {
+		b.Fatal(err)
+	}
+	inv := &spmspv.InvokeRequest{
+		Args:    map[string]*spmspv.Vector{"seed": spmspv.PageRankSeed(a.NumCols, opt.Damping)},
+		Scalars: map[string]float64{"damping": opt.Damping, "tol": opt.Tol},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := st.Invoke("pagerank", inv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
