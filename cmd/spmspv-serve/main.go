@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spmspv-serve -addr :8090 -preload web=graph.mtx -preload rmat=r.spmb \
-//	             [-engine hybrid] [-threads 4] [-par-workers 8] [-batch-window 500us] [-batch-size 8]
+//	             [-engine hybrid] [-threads 4] [-par-workers 8] [-batch-size 8]
 //
 // Sharded serving: -shards promotes the process to a scatter/gather
 // coordinator over row-range shard backends — either N fresh
@@ -49,7 +49,8 @@
 //	                  "desc":{"semiring":"arithmetic"}}' localhost:8090/v1/mult
 //
 // Concurrent single-vector requests against the same matrix coalesce
-// into batched multiplies (bounded by -batch-window / -batch-size);
+// into batched multiplies of at most -batch-size requests, formed
+// only while an earlier flush runs, so a lone request never waits;
 // per-matrix request, coalescing and latency counters are reported on
 // GET /v1/matrices and logged at shutdown. SIGINT/SIGTERM drain
 // in-flight requests before exit.
@@ -94,8 +95,6 @@ func main() {
 		threads    = flag.Int("threads", 0, "worker threads per multiply (0 = GOMAXPROCS)")
 		parWorkers = flag.Int("par-workers", -1,
 			"process-wide executor pool workers shared by all multiplies (-1 = default GOMAXPROCS-1, 0 = run every multiply inline)")
-		window = flag.Duration("batch-window", 500*time.Microsecond,
-			"how long the first request of a coalescing window waits for company (0 disables)")
 		batch = flag.Int("batch-size", 8, "max requests per coalesced MultBatch (≤1 disables)")
 		wire  = flag.String("wire", "json",
 			"default response wire form (json, binary) when a request has no Accept preference")
@@ -218,7 +217,6 @@ func main() {
 	}
 
 	srv := spmspv.NewServer(backend,
-		spmspv.WithBatchWindow(*window),
 		spmspv.WithBatchSize(*batch),
 		spmspv.WithDefaultWire(defaultWire),
 	)
@@ -229,8 +227,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("spmspv-serve: listening on %s (engine %s, batch window %v, batch size %d)",
-			*addr, alg, *window, *batch)
+		log.Printf("spmspv-serve: listening on %s (engine %s, batch size %d)",
+			*addr, alg, *batch)
 		errc <- hs.ListenAndServe()
 	}()
 

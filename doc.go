@@ -110,12 +110,13 @@
 //
 // A Server (NewServer) mounts the store over HTTP. Concurrent
 // single-vector requests against the same matrix coalesce into one
-// MultBatch through a bounded batching window (WithBatchWindow /
-// WithBatchSize), amortizing per-call engine setup across callers that
-// never see each other. A Program is the dataflow wire form: ops whose
-// inputs reference earlier ops' outputs ("$0"-style), with scalar
-// registers (reduce/scale/axpy/prune) and bounded loops whose carries
-// ("^i") thread values across iterations and whose until_empty /
+// MultBatch of at most WithBatchSize requests, amortizing per-call
+// engine setup across callers that never see each other; requests wait
+// for company only while an earlier flush runs, never on a timer. A
+// Program is the dataflow wire form: ops whose inputs reference
+// earlier ops' outputs ("$0"-style), with scalar registers
+// (reduce/scale/axpy/prune) and bounded loops whose carries ("^i")
+// thread values across iterations and whose until_empty /
 // until_below exits encode convergence — so a whole BFS (BFSProgram,
 // two ops at any depth) or a converging PageRank (PageRankProgram)
 // runs server-side in one round trip, interpreted by

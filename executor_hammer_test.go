@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	spmspv "spmspv"
 	"spmspv/internal/baselines"
@@ -53,10 +52,7 @@ func TestSharedExecutorHammer(t *testing.T) {
 	if err := st.Put("g", a); err != nil {
 		t.Fatal(err)
 	}
-	srv := spmspv.NewServer(st,
-		spmspv.WithBatchSize(4),
-		spmspv.WithBatchWindow(100*time.Microsecond),
-	)
+	srv := spmspv.NewServer(st, spmspv.WithBatchSize(4))
 	bodies := make([][]byte, len(cases))
 	for i, tc := range cases {
 		data, err := json.Marshal(&spmspv.Request{

@@ -40,8 +40,8 @@ func (s *ServeStats) Observe(d time.Duration, failed bool) {
 
 // ObserveBatch records one coalesced MultBatch flush covering the
 // given number of single-vector requests. Flushes of one slot are the
-// degenerate "window expired with no company" case and are not counted
-// as coalescing.
+// degenerate "no company arrived" case and are not counted as
+// coalescing.
 func (s *ServeStats) ObserveBatch(slots int) {
 	if slots > 1 {
 		s.batches.Add(1)

@@ -37,7 +37,7 @@ func BenchmarkProgramServe(b *testing.B) {
 	if _, err := st.Load("g"); err != nil {
 		b.Fatal(err)
 	}
-	srv := spmspv.NewServer(st, spmspv.WithBatchWindow(0))
+	srv := spmspv.NewServer(st, spmspv.WithBatchSize(1))
 
 	seed := spmspv.NewVector(n, 1)
 	seed.Append(0, 0)

@@ -1,8 +1,8 @@
 // BenchmarkServeCoalesce measures the serving path's request
 // coalescing: concurrent single-vector mult requests against one
 // matrix, pushed through the full HTTP handler (decode, validate,
-// batcher, encode) at batching windows of 1, 4 and 8 requests.
-// Window 1 disables coalescing — every request executes alone — so
+// batcher, encode) at batch sizes of 1, 4 and 8 requests.
+// Batch size 1 disables coalescing — every request executes alone — so
 // the sweep isolates what the shared MultBatch (one bucket
 // Estimate/sizing pass per batch instead of per request) buys at the
 // service level. EXPERIMENTS.md records the trajectory; CI uploads
@@ -19,7 +19,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	spmspv "spmspv"
 	"spmspv/internal/testutil"
@@ -88,16 +87,10 @@ func BenchmarkServeCoalesce(b *testing.B) {
 			if _, err := st.Load("g"); err != nil {
 				b.Fatal(err)
 			}
-			// A short window: concurrent submissions gather within
-			// microseconds, while stragglers (the drain at the end of the
-			// run) pay at most 100µs before flushing alone.
-			srv := spmspv.NewServer(st,
-				spmspv.WithBatchSize(batch),
-				spmspv.WithBatchWindow(100*time.Microsecond),
-			)
+			srv := spmspv.NewServer(st, spmspv.WithBatchSize(batch))
 
 			// 8-way concurrent callers regardless of GOMAXPROCS: request
-			// concurrency is what fills batching windows, and a serving
+			// concurrency is what fills batches, and a serving
 			// host is I/O-concurrent even when compute-serial.
 			b.SetParallelism(8)
 			b.ReportAllocs()

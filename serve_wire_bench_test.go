@@ -30,9 +30,9 @@ func BenchmarkServeWire(b *testing.B) {
 	if _, err := st.Load("g"); err != nil {
 		b.Fatal(err)
 	}
-	// Window 0 disables coalescing: every request takes the direct
+	// Batch size 1 disables coalescing: every request takes the direct
 	// path, so ns/op and allocs/op attribute to the wire codecs.
-	srv := spmspv.NewServer(st, spmspv.WithBatchWindow(0))
+	srv := spmspv.NewServer(st, spmspv.WithBatchSize(1))
 
 	const nBodies = 64
 	jsonBodies := make([][]byte, nBodies)

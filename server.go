@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,37 +28,31 @@ import (
 //	POST   /v1/program           execute one Program
 //
 // Concurrent single-vector mult requests against the same matrix (and
-// a compatible descriptor) are coalesced into one MultBatch through a
-// bounded batching window: the first request in a window waits at most
-// BatchWindow for company, and a window flushes early the moment
-// BatchSize requests have gathered — so the bucket engine's one
-// Estimate/sizing pass (and workspace checkout) is amortized across
-// the batch exactly as in the multi-source algorithms, invisible to
-// each caller. Requests whose descriptor cannot ride a batch
-// (accumulate, per-slot masks, bitmap responses) execute directly.
+// a compatible descriptor) are coalesced into one MultBatch of at most
+// BatchSize requests. No request waits on a clock: a request arriving
+// at an idle matrix runs at once (taking along any handler already
+// runnable), and requests arriving while a flush runs ride the next
+// one — so under load the bucket engine's one Estimate/sizing pass
+// (and workspace checkout) is amortized across the batch exactly as in
+// the multi-source algorithms, invisible to each caller, and a lone
+// request pays nothing for it. Requests whose descriptor cannot ride a
+// batch (accumulate, per-slot masks, bitmap responses) execute
+// directly.
 type Server struct {
 	store    ServingStore
 	mux      *http.ServeMux
-	window   time.Duration
 	maxBatch int
 	maxBody  int64
 	wire     string   // response form when the client expresses no preference
-	batchers sync.Map // batch key (string) → *multBatcher
+	batchers sync.Map // batchKey → *multBatcher
 	start    time.Time
 }
 
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
 
-// WithBatchWindow bounds how long the first request of a coalescing
-// window waits for company (default 500µs). Zero disables coalescing.
-func WithBatchWindow(d time.Duration) ServerOption {
-	return func(s *Server) { s.window = d }
-}
-
 // WithBatchSize caps how many requests one MultBatch flush carries
-// (default 8); a full window flushes immediately. Values ≤ 1 disable
-// coalescing.
+// (default 8). Values ≤ 1 disable coalescing.
 func WithBatchSize(n int) ServerOption {
 	return func(s *Server) { s.maxBatch = n }
 }
@@ -115,7 +110,6 @@ type ServingStore interface {
 func NewServer(st ServingStore, opts ...ServerOption) *Server {
 	s := &Server{
 		store:    st,
-		window:   500 * time.Microsecond,
 		maxBatch: 8,
 		maxBody:  1 << 30,
 		wire:     ContentTypeJSON,
@@ -258,11 +252,10 @@ func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// Evict the matrix's batchers so churn (upload → serve → delete)
 	// does not accumulate idle batcher entries forever. A batcher
-	// holding in-flight requests still flushes — the timer closure
-	// keeps it alive — and simply reports the matrix unknown.
-	prefix := name + "|"
+	// holding in-flight requests still flushes — its leader keeps it
+	// alive — and simply reports the matrix unknown.
 	s.batchers.Range(func(key, _ any) bool {
-		if strings.HasPrefix(key.(string), prefix) {
+		if key.(batchKey).matrix == name {
 			s.batchers.Delete(key)
 		}
 		return true
@@ -587,7 +580,7 @@ func (s *Server) do(req *Request) (*Response, error) {
 // single-vector, list-form response, no accumulate (an accumulator
 // cannot be shared), with any mask becoming a per-slot batch mask.
 func (s *Server) coalescable(req *Request) bool {
-	return s.maxBatch > 1 && s.window > 0 &&
+	return s.maxBatch > 1 &&
 		req.X != nil && !req.Desc.Accum && req.Desc.Masks == nil &&
 		req.Desc.Output != OutputBitmap
 }
@@ -606,9 +599,11 @@ func (s *Server) doCoalesced(req *Request) (*Response, error) {
 		return nil, wireErrorf(CodeInvalidRequest, "%v", err)
 	}
 	sr, _ := ParseSemiring(req.Desc.Semiring)
-	key := fmt.Sprintf("%s|%s|t=%v|c=%v", req.Matrix, strings.ToLower(sr.Name),
-		req.Desc.Transpose, req.Desc.Complement)
-	bi, _ := s.batchers.LoadOrStore(key, &multBatcher{server: s, matrix: req.Matrix})
+	key := batchKey{req.Matrix, sr.Name, req.Desc.Transpose, req.Desc.Complement}
+	bi, ok := s.batchers.Load(key)
+	if !ok {
+		bi, _ = s.batchers.LoadOrStore(key, &multBatcher{server: s, matrix: req.Matrix})
+	}
 	b := bi.(*multBatcher)
 
 	out := b.submit(req.X, req.Desc)
@@ -619,15 +614,30 @@ func (s *Server) doCoalesced(req *Request) (*Response, error) {
 	return &Response{Y: out.y, OutputRep: OutputList.String()}, nil
 }
 
+// batchKey groups requests that may share one MultBatch: the same
+// matrix under the same semiring (canonical name), transpose and mask
+// complement.
+type batchKey struct {
+	matrix     string
+	semiring   string
+	transpose  bool
+	complement bool
+}
+
 // multBatcher coalesces validated single-vector requests that share a
-// batch key into MultBatch flushes. The first pending request arms a
-// window timer; reaching the server's batch size flushes immediately.
+// batch key into MultBatch flushes, without a timer: a request waits
+// for company only while a flush is running. The first request to
+// reach an idle batcher leads — it yields once so handlers that are
+// already runnable can join, then flushes up to the server's batch
+// size. Requests that arrive during a flush queue for the next one,
+// which the first of them leads once the running flush hands over.
 type multBatcher struct {
 	server *Server
 	matrix string
 
 	mu      sync.Mutex
 	pending []*pendingMult
+	busy    bool // a leader is yielding or flushing
 }
 
 type pendingMult struct {
@@ -636,9 +646,12 @@ type pendingMult struct {
 	done chan batchOut
 }
 
+// batchOut is a slot's result, or (lead set) the hand-over that makes
+// the slot's goroutine flush the next batch, its own request first.
 type batchOut struct {
-	y   *Vector
-	err error
+	y    *Vector
+	err  error
+	lead bool
 }
 
 // submit enqueues one request and blocks until its slot's result.
@@ -646,41 +659,61 @@ func (b *multBatcher) submit(x *Vector, d Desc) batchOut {
 	p := &pendingMult{x: x, desc: d, done: make(chan batchOut, 1)}
 	b.mu.Lock()
 	b.pending = append(b.pending, p)
-	n := len(b.pending)
-	if n >= b.server.maxBatch {
-		batch := b.pending
-		b.pending = nil
-		b.mu.Unlock()
-		b.flush(batch)
-	} else {
-		if n == 1 {
-			time.AfterFunc(b.server.window, b.flushWindow)
-		}
-		b.mu.Unlock()
+	leader := !b.busy
+	b.busy = true
+	b.mu.Unlock()
+	if leader {
+		// On one P this yield is the only way another handler can
+		// join; with nothing else runnable it returns at once.
+		runtime.Gosched()
+	} else if out := <-p.done; !out.lead {
+		return out
 	}
+	b.lead()
 	return <-p.done
 }
 
-// flushWindow fires when a window timer expires: it takes whatever has
-// gathered (possibly nothing, if a size-triggered flush beat it).
-func (b *multBatcher) flushWindow() {
+// lead flushes the head of the queue — which holds the leader's own
+// request, so the leader never flushes twice — and then hands the
+// remainder to its first request, or marks the batcher idle.
+func (b *multBatcher) lead() {
 	b.mu.Lock()
 	batch := b.pending
-	b.pending = nil
+	if n := b.server.maxBatch; len(batch) > n {
+		b.pending = append([]*pendingMult(nil), batch[n:]...)
+		batch = batch[:n]
+	} else {
+		b.pending = nil
+	}
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.flush(batch)
+
+	b.flush(batch)
+
+	// busy stays set across a hand-over, so next stays at the head of
+	// the queue until it takes its batch.
+	var next *pendingMult
+	b.mu.Lock()
+	if len(b.pending) > 0 {
+		next = b.pending[0]
+	} else {
+		b.busy = false
+	}
+	b.mu.Unlock()
+	if next != nil {
+		next.done <- batchOut{lead: true}
 	}
 }
 
 // flush executes one gathered batch through the store's multBatch hook
-// and delivers each slot's result. The backend resolves the matrix per
-// flush, so a matrix replaced in the store between windows is picked
-// up; over a sharded backend the whole window rides one scatter.
+// and delivers each slot's result; a panic is recovered into an error
+// for every slot not yet answered. The backend resolves the matrix per
+// flush, so a matrix replaced in the store between flushes is picked
+// up; over a sharded backend the whole batch rides one scatter.
 func (b *multBatcher) flush(batch []*pendingMult) {
+	sent := 0
 	defer func() {
 		if r := recover(); r != nil {
-			for _, p := range batch {
+			for _, p := range batch[sent:] {
 				p.done <- batchOut{err: wireErrorf(CodeInternal, "batched multiply: %v", r)}
 			}
 		}
@@ -692,14 +725,13 @@ func (b *multBatcher) flush(batch []*pendingMult) {
 		masks[q] = p.desc.Mask
 	}
 	ys, err := b.server.store.multBatch(b.matrix, xs, masks, batch[0].desc)
-	if err != nil {
-		for _, p := range batch {
+	for _, p := range batch {
+		if err != nil {
 			p.done <- batchOut{err: err}
+		} else {
+			p.done <- batchOut{y: ys[sent]}
 		}
-		return
-	}
-	for q, p := range batch {
-		p.done <- batchOut{y: ys[q]}
+		sent++
 	}
 }
 

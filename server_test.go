@@ -143,15 +143,12 @@ func TestServeMultAndErrors(t *testing.T) {
 }
 
 // TestServeCoalescing fires concurrent single-vector requests at a
-// server with a large batching window and checks that (a) every
+// coalescing server and checks that (a) every
 // response equals the sequential reference for its own input — slots
 // are not mixed up — and (b) the batcher actually coalesced.
 func TestServeCoalescing(t *testing.T) {
 	st, a, rng := storeWithMatrix(t, "g")
-	srv := spmspv.NewServer(st,
-		spmspv.WithBatchWindow(5e6), // 5ms: plenty for all goroutines to gather
-		spmspv.WithBatchSize(4),
-	)
+	srv := spmspv.NewServer(st, spmspv.WithBatchSize(4))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := spmspv.NewClient(ts.URL, spmspv.WithHTTPClient(ts.Client()))
@@ -211,7 +208,7 @@ func TestServeCoalescing(t *testing.T) {
 // direct path on a coalescing server.
 func TestServeCoalescingBypass(t *testing.T) {
 	st, a, rng := storeWithMatrix(t, "g")
-	c, _ := serveClient(t, st, spmspv.WithBatchWindow(5e6), spmspv.WithBatchSize(4))
+	c, _ := serveClient(t, st, spmspv.WithBatchSize(4))
 
 	x := testutil.RandomVector(rng, a.NumCols, 20, true)
 	want := baselines.Reference(a, x, spmspv.Arithmetic)

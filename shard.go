@@ -1017,7 +1017,7 @@ func (ss *ShardedStore) resolveMult(name string) (Index, Index, *perf.ServeStats
 }
 
 // multBatch executes one coalesced flush as a single batched scatter:
-// the whole window rides one request per band, so coalescing amortizes
+// the whole batch rides one request per band, so coalescing amortizes
 // the per-shard dispatch exactly as it amortizes the engine's sizing
 // pass in-process.
 func (ss *ShardedStore) multBatch(name string, xs []*Vector, masks []*BitVector, d Desc) ([]*Vector, error) {

@@ -371,7 +371,7 @@ func TestShardedFaultInjection(t *testing.T) {
 // TestShardedServerCoalescing drives concurrent HTTP mults through a
 // Server over a sharded backend: every answer must match the unsharded
 // store, and the coalescing counters must show batches formed — the
-// whole window riding one scatter per shard.
+// whole batch riding one scatter per shard.
 func TestShardedServerCoalescing(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := randomIntCSC(t, rng, 90, 90, 4)
@@ -385,8 +385,7 @@ func TestShardedServerCoalescing(t *testing.T) {
 	if err := ss.Put("g", a); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(spmspv.NewServer(ss,
-		spmspv.WithBatchWindow(20*time.Millisecond), spmspv.WithBatchSize(8)))
+	srv := httptest.NewServer(spmspv.NewServer(ss, spmspv.WithBatchSize(8)))
 	defer srv.Close()
 	client := spmspv.NewClient(srv.URL)
 
