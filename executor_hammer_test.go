@@ -6,7 +6,9 @@
 // fork-joins, concurrent Run barriers and slot-pinned workspace
 // churn. Every result is checked against the sequential reference, so
 // a lost task, double-executed chunk or cross-job stat write shows up
-// as a wrong answer even when the race detector is off.
+// as a wrong answer even when the race detector is off. One case
+// selects every column, enough flops that the bucket kernel sizes it
+// to more than one thread, so the pool's workers really run.
 package spmspv_test
 
 import (
@@ -25,13 +27,13 @@ import (
 
 func TestSharedExecutorHammer(t *testing.T) {
 	const (
-		n          = 500
+		n          = 4000
 		engines    = 3
 		goroutines = 4
 		iters      = 25
 	)
 	rng := rand.New(rand.NewSource(123))
-	a := testutil.RandomCSC(rng, n, n, 6)
+	a := testutil.RandomCSC(rng, n, n, 20)
 
 	opt := engineOptions(4)
 	opt.MergeSched = spmspv.SchedStealing
@@ -40,10 +42,22 @@ func TestSharedExecutorHammer(t *testing.T) {
 		x    *spmspv.Vector
 		want *spmspv.Vector
 	}
-	cases := make([]testCase, 6)
+	cases := make([]testCase, 7)
 	for i := range cases {
-		x := testutil.RandomVector(rng, n, 15+i*60, true)
+		f := 15 + i*60
+		if i == len(cases)-1 {
+			f = n
+		}
+		x := testutil.RandomVector(rng, n, f, true)
 		cases[i] = testCase{x: x, want: baselines.Reference(a, x, spmspv.Arithmetic)}
+	}
+	// The whole-matrix case must take the kernel's parallel path, whose
+	// counting pass reads x a second time.
+	probe := newMultiplier(t, a, spmspv.Bucket, opt)
+	probe.MultiplyInto(cases[len(cases)-1].x, spmspv.NewVector(0, 0), spmspv.Arithmetic)
+	if got := probe.Counters().XScanned; got != 2*n {
+		t.Fatalf("whole-matrix multiply scanned x %d times over, want 2 (t ≥ 2); raise its flops above the kernel grain",
+			got/n)
 	}
 
 	// The server side: a coalescing batcher over the same matrix, whose

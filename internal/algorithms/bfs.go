@@ -64,7 +64,7 @@ func BFS(mult Multiplier, n sparse.Index, source sparse.Index, capture bool) *BF
 	// step below would erase a native bitmap), capability dispatch
 	// resolved once instead of per level.
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for level := int32(1); xf.NNZ() > 0; level++ {
 		res.FrontierSizes = append(res.FrontierSizes, xf.NNZ())
@@ -130,7 +130,7 @@ func BFSMasked(mult Multiplier, n sparse.Index, source sparse.Index) *BFSResult 
 	// dispatch (masked-output pushdown vs masked list vs filter) is
 	// compiled once.
 	d := engine.Desc{Mask: visited, Complement: true}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for level := int32(1); xf.NNZ() > 0; level++ {
 		res.FrontierSizes = append(res.FrontierSizes, xf.NNZ())

@@ -35,7 +35,7 @@ func ConnectedComponents(mult Multiplier, n sparse.Index) []sparse.Index {
 	yf := sparse.NewOutputFrontier(n)
 
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for xf.NNZ() > 0 {
 		plan.Mult(xf, yf, semiring.MinSelect2nd, d)

@@ -42,8 +42,8 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 	// Forward (A) and backward (Aᵀ) rounds each run through their own
 	// compiled list-output plan.
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
-	planT := engine.CompilePlan(multT, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
+	planT := engine.PlanFor(multT, d.Shape())
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(nr)
 	acceptf := sparse.NewFrontier(accept)

@@ -38,7 +38,7 @@ func MaximalIndependentSet(mult Multiplier, n sparse.Index, seed int64) []bool {
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for remaining > 0 {
 		// Draw fresh priorities for the candidates; ties are broken by

@@ -93,7 +93,7 @@ func MultiBFS(mult Multiplier, n sparse.Index, sources []sparse.Index, capture b
 	// native bitmap would be erased unread — the masked variant is the
 	// conversion-free one).
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for level := int32(1); len(xs) > 0; level++ {
 		for q, s := range live {

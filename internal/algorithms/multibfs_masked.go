@@ -62,7 +62,7 @@ func MultiBFSMasked(mult Multiplier, n sparse.Index, sources []sparse.Index) *Mu
 	// One masked batch plan for the whole search; the per-slot masks
 	// are the only per-level runtime arguments.
 	shape := engine.Shape{Masked: true}
-	plan := engine.CompilePlan(mult, shape)
+	plan := engine.PlanFor(mult, shape)
 
 	for level := int32(1); len(xs) > 0; level++ {
 		for q, s := range live {

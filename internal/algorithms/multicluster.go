@@ -52,7 +52,7 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 		yfs[q] = sparse.NewOutputFrontier(n)
 	}
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for round := 0; round < opt.MaxIter && len(live) > 0; round++ {
 		// Gather every live seed's active vertices, dropping seeds with

@@ -106,7 +106,7 @@ func PageRank(mult Multiplier, n sparse.Index, opt PageRankOptions) *PageRankRes
 	yf := sparse.NewOutputFrontier(n)
 	next := sparse.NewSpVec(n, int(n))
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for iter := 0; iter < opt.MaxIter && delta.NNZ() > 0; iter++ {
 		res.ActiveCounts = append(res.ActiveCounts, delta.NNZ())

@@ -33,7 +33,7 @@ func SSSP(mult Multiplier, n sparse.Index, source sparse.Index) []float64 {
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
+	plan := engine.PlanFor(mult, d.Shape())
 
 	for x.NNZ() > 0 {
 		xf.SetList(x)

@@ -12,12 +12,14 @@ import (
 
 // MultiplyBatch computes ys[q] ← A·xs[q] for a batch of input vectors
 // in one pass of the bucket algorithm, sharing what a loop of Multiply
-// calls pays per frontier: one workspace checkout, one
-// Estimate/bucket-sizing pass and cursor prefix over the concatenated
-// inputs, one scatter and one merge parallel region, one counter
-// retirement. The per-frontier marginal cost approaches the pure O(df)
-// work term, which is why batching wins exactly in the sparse-frontier
-// regime (multi-source BFS ramp-up) where fixed costs rival the work.
+// calls pays per frontier: one workspace checkout, one thread count
+// sized by the batch's total flops, one Estimate/bucket-sizing pass and
+// cursor prefix over the concatenated inputs (skipped when the batch
+// runs on one thread), one scatter and one merge parallel region, one
+// counter retirement. The per-frontier marginal cost approaches the
+// pure O(df) work term, which is why batching wins exactly in the
+// sparse-frontier regime (multi-source BFS ramp-up) where fixed costs
+// rival the work.
 //
 // Frontiers stay logically separate throughout: the bucket space is
 // subdivided per frontier (bucket id q·nb + rowbucket), the merge
@@ -160,20 +162,25 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	m := a.NumRows
 	k := len(xs)
 
-	// Concatenate the inputs; batchOff[q] marks frontier q's start.
+	// Concatenate the inputs; batchOff[q] marks frontier q's start and
+	// batchWork[q] the flops (selected matrix entries) of the frontiers
+	// before q.
 	var totalF int64
 	for _, x := range xs {
 		totalF += int64(x.NNZ())
 	}
 	ws.ensureBatch(totalF, k)
-	off := int64(0)
+	var off, df int64
 	for q, x := range xs {
 		ws.batchOff[q] = off
+		ws.batchWork[q] = df
 		copy(ws.batchInd[off:], x.Ind)
 		copy(ws.batchVal[off:], x.Val)
 		off += int64(x.NNZ())
+		df += frontierWork(a, x)
 	}
 	ws.batchOff[k] = off
+	ws.batchWork[k] = df
 
 	for _, y := range ys {
 		y.Reset(m)
@@ -185,22 +192,12 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	xAll := &sparse.SpVec{N: a.NumCols, Ind: ws.batchInd[:totalF], Val: ws.batchVal[:totalF]}
 
 	// Thread count and bucket geometry exactly as in the single-call
-	// path, but with the batch's total nonzeros as f and the bucket
-	// space replicated per frontier: full bucket id = q·nb + (i >>
-	// shift), so every (frontier, row-range) pair owns a disjoint slot.
-	t := opt.Threads
-	if int64(t) > totalF {
-		t = int(totalF)
-	}
-	nbReq := opt.BucketsPerThread * t
-	shift := uint(0)
-	for int64(m) > int64(nbReq)<<shift {
-		shift++
-	}
-	nb := int((int64(m) + (int64(1) << shift) - 1) >> shift)
-	if nb < 1 {
-		nb = 1
-	}
+	// path, but sized by the batch's total nonzeros and flops and with
+	// the bucket space replicated per frontier: full bucket id = q·nb +
+	// (i >> shift), so every (frontier, row-range) pair owns a disjoint
+	// slot.
+	t := kernelThreads(opt.Threads, int(totalF), df)
+	shift, nb := bucketGeometry(m, t, opt.BucketsPerThread)
 	NB := k * nb
 	nc := stepChunks(t, int(totalF))
 	ws.ensure(m, t, NB, nc)
@@ -209,58 +206,38 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	var timer perf.Timer
 	timer.Start()
 
-	// One split over the concatenated entries into ~8 stealable chunks
-	// per worker (weighted by column nonzeros by default, the §III-B
-	// fix; by entry count under SplitEvenly), crossing frontier
-	// boundaries freely.
-	if opt.SplitEvenly {
-		ws.ranges = par.EvenRangesInto(int(totalF), nc, ws.ranges)
-	} else {
-		ws.xcum = a.CumulativeColWeights(xAll.Ind, ws.xcum)
-		ws.ranges = par.SplitByWeightInto(ws.xcum, nc, ws.ranges)
-	}
-
-	// Estimate (Algorithm 2) for the whole batch: count per (chunk,
-	// frontier, bucket) insertions in one pass.
-	clear(ws.boffset[:nc*NB])
-	ex.ForChunks(t, nc, nil, func(w, c int) {
-		lo, hi := ws.ranges[c][0], ws.ranges[c][1]
-		if lo >= hi {
-			return
-		}
-		ctr := &ws.Counters[w]
-		var touched int64
-		for q, k2 := frontierAt(ws.batchOff, lo), lo; k2 < hi; {
-			for k2 >= int(ws.batchOff[q+1]) {
-				q++
-			}
-			segHi := hi
-			if int(ws.batchOff[q+1]) < segHi {
-				segHi = int(ws.batchOff[q+1])
-			}
-			row := ws.boffset[c*NB+q*nb : c*NB+(q+1)*nb]
-			for ; k2 < segHi; k2++ {
-				rows, _ := a.Col(xAll.Ind[k2])
-				for _, i := range rows {
-					row[i>>shift]++
-				}
-				touched += int64(len(rows))
-			}
-		}
-		ctr.XScanned += int64(hi - lo)
-		ctr.MatrixTouched += touched
-	}, &ws.sched)
-
-	// Two-level exclusive prefix: bucket-major, chunk-minor, over the
-	// full (frontier, bucket) space.
 	var total int64
-	for bq := 0; bq < NB; bq++ {
-		ws.bucketStart[bq] = total
-		for c := 0; c < nc; c++ {
-			idx := c*NB + bq
-			cnt := ws.boffset[idx]
-			ws.boffset[idx] = total
-			total += cnt
+	if t == 1 {
+		// One thread: frontier q's single bucket holds its entries in x
+		// order at its flop offset, so the counting pass, the split and
+		// the cursor prefix are skipped.
+		ws.ranges = par.EvenRangesInto(int(totalF), 1, ws.ranges)
+		copy(ws.bucketStart[:k], ws.batchWork[:k])
+		copy(ws.boffset[:k], ws.batchWork[:k])
+		total = df
+	} else {
+		// One split over the concatenated entries into ~8 stealable
+		// chunks per worker (weighted by column nonzeros by default,
+		// the §III-B fix; by entry count under SplitEvenly), crossing
+		// frontier boundaries freely.
+		if opt.SplitEvenly {
+			ws.ranges = par.EvenRangesInto(int(totalF), nc, ws.ranges)
+		} else {
+			ws.xcum = a.CumulativeColWeights(xAll.Ind, ws.xcum)
+			ws.ranges = par.SplitByWeightInto(ws.xcum, nc, ws.ranges)
+		}
+		estimateBatch(a, xAll, ws, ex, t, nc, nb, NB, shift)
+
+		// Two-level exclusive prefix: bucket-major, chunk-minor, over
+		// the full (frontier, bucket) space.
+		for bq := 0; bq < NB; bq++ {
+			ws.bucketStart[bq] = total
+			for c := 0; c < nc; c++ {
+				idx := c*NB + bq
+				cnt := ws.boffset[idx]
+				ws.boffset[idx] = total
+				total += cnt
+			}
 		}
 	}
 	ws.bucketStart[NB] = total
@@ -394,14 +371,47 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 			// so SetRangeFrom's boundary-word atomics make the
 			// concurrent per-slot fill race-free exactly as in the
 			// single-call Step 3.
-			bLo := sparse.Index(bq%nb) << shift
-			outBits[q].SetRangeFrom(y.Ind[off:off+cnt], y.Val[off:off+cnt],
-				bLo, bLo+(sparse.Index(1)<<shift))
+			bLo, bHi := bucketRows(bq%nb, shift, m)
+			outBits[q].SetRangeFrom(y.Ind[off:off+cnt], y.Val[off:off+cnt], bLo, bHi)
 		}
 		ws.Counters[w].OutputWritten += cnt
 	}, &ws.sched)
 	ws.Steps.Output = timer.Lap()
 	ws.foldSched(t)
+}
+
+// estimateBatch is Algorithm 2 for the whole batch: count per (chunk,
+// frontier, bucket) insertions in one pass over the concatenated
+// inputs.
+func estimateBatch(a *sparse.CSC, xAll *sparse.SpVec, ws *Workspace, ex *par.Executor, t, nc, nb, NB int, shift uint) {
+	clear(ws.boffset[:nc*NB])
+	ex.ForChunks(t, nc, nil, func(w, c int) {
+		lo, hi := ws.ranges[c][0], ws.ranges[c][1]
+		if lo >= hi {
+			return
+		}
+		ctr := &ws.Counters[w]
+		var touched int64
+		for q, k2 := frontierAt(ws.batchOff, lo), lo; k2 < hi; {
+			for k2 >= int(ws.batchOff[q+1]) {
+				q++
+			}
+			segHi := hi
+			if int(ws.batchOff[q+1]) < segHi {
+				segHi = int(ws.batchOff[q+1])
+			}
+			row := ws.boffset[c*NB+q*nb : c*NB+(q+1)*nb]
+			for ; k2 < segHi; k2++ {
+				rows, _ := a.Col(xAll.Ind[k2])
+				for _, i := range rows {
+					row[i>>shift]++
+				}
+				touched += int64(len(rows))
+			}
+		}
+		ctr.XScanned += int64(hi - lo)
+		ctr.MatrixTouched += touched
+	}, &ws.sched)
 }
 
 // frontierAt returns the frontier owning concatenated position pos.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,8 +15,18 @@ import (
 // shapes, semirings, thread counts and batch compositions (including
 // empty and duplicate-free/duplicated frontiers) and checks every
 // output against both a loop of single multiplies and the sequential
-// reference.
+// reference — at the default grain, where these small batches run one
+// thread, and with the grain lowered to force the parallel path.
 func TestMultiplyBatchMatchesLoop(t *testing.T) {
+	for _, grain := range []int64{kernelGrain, 1} {
+		t.Run(fmt.Sprintf("grain=%d", grain), func(t *testing.T) {
+			defer setGrain(grain)()
+			testMultiplyBatchMatchesLoop(t)
+		})
+	}
+}
+
+func testMultiplyBatchMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct {
 		m, n sparse.Index
@@ -82,33 +93,47 @@ func TestMultiplyBatchAllEmpty(t *testing.T) {
 }
 
 // TestMultiplyBatchCounters checks that the batch path records the
-// same deterministic work the loop path does for the shared terms.
+// same deterministic work the loop path does for the shared terms, on
+// the one-pass t = 1 path and on the paper's two-pass path.
 func TestMultiplyBatchCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := testutil.RandomCSC(rng, 300, 300, 4)
 	xs := make([]*sparse.SpVec, 4)
 	ys := make([]*sparse.SpVec, 4)
+	var f int64
 	for q := range xs {
 		xs[q] = testutil.RandomVector(rng, 300, 10+20*q, true)
 		ys[q] = sparse.NewSpVec(0, 0)
+		f += int64(xs[q].NNZ())
 	}
 
-	loop := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
-	for q := range xs {
-		loop.Multiply(xs[q], ys[q], semiring.Arithmetic)
-	}
-	wantC := loop.Counters()
+	for _, tc := range []struct {
+		grain  int64
+		passes int64 // reads of x: the counting pass runs only at t ≥ 2
+	}{{kernelGrain, 1}, {1, 2}} {
+		t.Run(fmt.Sprintf("grain=%d", tc.grain), func(t *testing.T) {
+			defer setGrain(tc.grain)()
+			loop := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
+			for q := range xs {
+				loop.Multiply(xs[q], ys[q], semiring.Arithmetic)
+			}
+			wantC := loop.Counters()
 
-	batch := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
-	batch.MultiplyBatch(xs, ys, semiring.Arithmetic)
-	gotC := batch.Counters()
+			batch := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
+			batch.MultiplyBatch(xs, ys, semiring.Arithmetic)
+			gotC := batch.Counters()
 
-	// Input scans, matrix touches, bucket writes, SPA work and output
-	// are identical by construction; only SyncEvents (scheduling) may
-	// differ.
-	if gotC.XScanned != wantC.XScanned || gotC.MatrixTouched != wantC.MatrixTouched ||
-		gotC.BucketWrites != wantC.BucketWrites || gotC.SPAInit != wantC.SPAInit ||
-		gotC.SPAUpdates != wantC.SPAUpdates || gotC.OutputWritten != wantC.OutputWritten {
-		t.Errorf("batch counters differ from loop:\n batch %s\n loop  %s", gotC, wantC)
+			// Input scans, matrix touches, bucket writes, SPA work and
+			// output are identical by construction; only SyncEvents
+			// (scheduling) may differ.
+			if gotC.XScanned != wantC.XScanned || gotC.MatrixTouched != wantC.MatrixTouched ||
+				gotC.BucketWrites != wantC.BucketWrites || gotC.SPAInit != wantC.SPAInit ||
+				gotC.SPAUpdates != wantC.SPAUpdates || gotC.OutputWritten != wantC.OutputWritten {
+				t.Errorf("batch counters differ from loop:\n batch %s\n loop  %s", gotC, wantC)
+			}
+			if gotC.XScanned != tc.passes*f {
+				t.Errorf("batch XScanned %d, want %d (%d passes over x)", gotC.XScanned, tc.passes*f, tc.passes)
+			}
+		})
 	}
 }

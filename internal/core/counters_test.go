@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spmspv/internal/baselines"
+	"spmspv/internal/perf"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
@@ -15,7 +16,9 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // TestExactCounterValues pins the work counters to hand-computed values
 // on the Fig. 1 matrix, so the Tables I/II experiment rests on counters
-// with verified semantics.
+// with verified semantics. A one-thread call scatters into a single
+// bucket in one pass; from two threads on, Algorithm 2's counting pass
+// reads x and the selected columns a second time.
 func TestExactCounterValues(t *testing.T) {
 	a := paperMatrix(t)
 	// x selects columns 2 (4 entries), 5 (2 entries), 7 (2 entries).
@@ -23,42 +26,61 @@ func TestExactCounterValues(t *testing.T) {
 	x.Append(2, 2)
 	x.Append(5, 3)
 	x.Append(7, 5)
-
-	ws := NewWorkspace(8, 0)
-	y := sparse.NewSpVec(0, 0)
-	Multiply(a, x, y, semiring.Arithmetic, ws, Options{Threads: 1, SortOutput: false})
-	c := ws.TotalCounters()
-
 	const df = 8 // total selected entries: 4 + 2 + 2
-	if c.XScanned != 6 {
-		// Both the estimate pass and the bucket pass scan the 3 input
-		// nonzeros (the paper's two passes over x).
-		t.Errorf("XScanned = %d, want 6", c.XScanned)
-	}
-	if c.MatrixTouched != 2*df {
-		// Estimate + scatter each touch all df entries (§III-B: "both
-		// access df nonzero entries").
-		t.Errorf("MatrixTouched = %d, want %d", c.MatrixTouched, 2*df)
-	}
-	if c.BucketWrites != df {
-		t.Errorf("BucketWrites = %d, want %d", c.BucketWrites, df)
-	}
-	// nnz(y) = 6 unique rows; SPA initializes exactly the unique slots.
-	if c.SPAInit != 6 {
-		t.Errorf("SPAInit = %d, want 6", c.SPAInit)
-	}
-	if c.SPAUpdates != df-6 {
-		t.Errorf("SPAUpdates = %d, want %d", c.SPAUpdates, df-6)
-	}
-	if c.OutputWritten != 6 {
-		t.Errorf("OutputWritten = %d, want 6", c.OutputWritten)
-	}
-	if c.SortedElems != 0 {
-		t.Errorf("SortedElems = %d, want 0 for unsorted output", c.SortedElems)
+
+	for _, tc := range []struct {
+		name    string
+		threads int
+		grain   int64 // kernelGrain for the call; 1 sizes t = min(threads, f)
+		passes  int64 // reads of x and of the df selected entries
+	}{
+		{"t=1", 1, kernelGrain, 1},
+		{"t=2", 2, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer setGrain(tc.grain)()
+			ws := NewWorkspace(8, 0)
+			y := sparse.NewSpVec(0, 0)
+			// The static merge gives slot 1 a fixed share of the
+			// buckets, so its counters show whether t ≥ 2 ran.
+			Multiply(a, x, y, semiring.Arithmetic, ws, Options{Threads: tc.threads, MergeSched: SchedStatic})
+			c := ws.TotalCounters()
+
+			if c.XScanned != 3*tc.passes {
+				t.Errorf("XScanned = %d, want %d", c.XScanned, 3*tc.passes)
+			}
+			if c.MatrixTouched != df*tc.passes {
+				// At t ≥ 2 estimate + scatter each touch all df entries
+				// (§III-B: "both access df nonzero entries"); at t = 1
+				// only the scatter does.
+				t.Errorf("MatrixTouched = %d, want %d", c.MatrixTouched, df*tc.passes)
+			}
+			if c.BucketWrites != df {
+				t.Errorf("BucketWrites = %d, want %d", c.BucketWrites, df)
+			}
+			// nnz(y) = 6 unique rows; SPA initializes exactly the unique
+			// slots.
+			if c.SPAInit != 6 {
+				t.Errorf("SPAInit = %d, want 6", c.SPAInit)
+			}
+			if c.SPAUpdates != df-6 {
+				t.Errorf("SPAUpdates = %d, want %d", c.SPAUpdates, df-6)
+			}
+			if c.OutputWritten != 6 {
+				t.Errorf("OutputWritten = %d, want 6", c.OutputWritten)
+			}
+			if c.SortedElems != 0 {
+				t.Errorf("SortedElems = %d, want 0 for unsorted output", c.SortedElems)
+			}
+			if tc.threads > 1 && ws.Counters[1] == (perf.Counters{}) {
+				t.Errorf("slot 1 did no work at t=%d", tc.threads)
+			}
+		})
 	}
 
 	// The ∞-sentinel variant initializes per entry, not per unique slot.
 	ws2 := NewWorkspace(8, 0)
+	y := sparse.NewSpVec(0, 0)
 	Multiply(a, x, y, semiring.Arithmetic, ws2, Options{Threads: 1, UseInfSentinel: true})
 	if c2 := ws2.TotalCounters(); c2.SPAInit != df {
 		t.Errorf("sentinel SPAInit = %d, want %d", c2.SPAInit, df)

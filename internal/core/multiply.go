@@ -41,26 +41,12 @@ func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semir
 		return outBits != nil
 	}
 
-	// The paper's parallel analysis assumes t ≤ f; more threads than
-	// input nonzeros cannot be given distinct Step-1 work.
-	t := opt.Threads
-	if t > f {
-		t = f
-	}
-	// Bucket mapping: the paper assigns row i to bucket ⌊i·nb/m⌋. We
-	// round the rows-per-bucket up to a power of two so the mapping is
-	// a shift (i >> bucketShift) instead of two 64-bit divisions per
-	// matrix nonzero — same contiguous row ranges, ≤ the requested
-	// bucket count, measurably faster Steps 1 and 2.
-	nbReq := opt.BucketsPerThread * t
-	shift := uint(0)
-	for int64(m) > int64(nbReq)<<shift {
-		shift++
-	}
-	nb := int((int64(m) + (int64(1) << shift) - 1) >> shift)
-	if nb < 1 {
-		nb = 1
-	}
+	// Size the kernel to its work: df, the number of matrix entries x
+	// selects, is O(f) to read from the column pointers and decides how
+	// many threads the call can keep busy.
+	df := frontierWork(a, x)
+	t := kernelThreads(opt.Threads, f, df)
+	shift, nb := bucketGeometry(m, t, opt.BucketsPerThread)
 	// Over-decompose the input split into ~8 stealable chunks per worker
 	// (one chunk when t = 1): each chunk owns a private cursor row, so
 	// any executor worker can run any chunk and stealing rebalances
@@ -72,33 +58,44 @@ func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semir
 	var timer perf.Timer
 	timer.Start()
 
-	// Partition the f input nonzeros among nc chunks. The default
-	// weights each x entry by its column's nonzero count — the §III-B
-	// fix that keeps the span low when a few columns are huge.
-	if opt.SplitEvenly {
-		ws.ranges = par.EvenRangesInto(f, nc, ws.ranges)
-	} else {
-		ws.xcum = a.CumulativeColWeights(x.Ind, ws.xcum)
-		ws.ranges = par.SplitByWeightInto(ws.xcum, nc, ws.ranges)
-	}
-
-	// Preprocessing (Algorithm 2, ESTIMATE-BUCKETS): count per
-	// (chunk, bucket) insertions.
-	estimateBuckets(a, x, ws, ex, t, nc, nb, shift)
-
-	// Two-level exclusive prefix turns counts into private write
-	// cursors: bucket-major, chunk-minor, so entries of one bucket are
-	// contiguous and each chunk's slice of each bucket is disjoint —
-	// the bucket layout is therefore identical no matter which worker
-	// executes which chunk.
 	var total int64
-	for b := 0; b < nb; b++ {
-		ws.bucketStart[b] = total
-		for c := 0; c < nc; c++ {
-			idx := c*nb + b
-			cnt := ws.boffset[idx]
-			ws.boffset[idx] = total
-			total += cnt
+	if t == 1 {
+		// One thread, one bucket holding all df entries in x order: no
+		// write needs a precomputed cursor, so Algorithm 2's counting
+		// pass, the weighted split and the cursor prefix are skipped.
+		ws.ranges = par.EvenRangesInto(f, 1, ws.ranges)
+		ws.boffset[0] = 0
+		ws.bucketStart[0] = 0
+		total = df
+	} else {
+		// Partition the f input nonzeros among nc chunks. The default
+		// weights each x entry by its column's nonzero count — the
+		// §III-B fix that keeps the span low when a few columns are
+		// huge.
+		if opt.SplitEvenly {
+			ws.ranges = par.EvenRangesInto(f, nc, ws.ranges)
+		} else {
+			ws.xcum = a.CumulativeColWeights(x.Ind, ws.xcum)
+			ws.ranges = par.SplitByWeightInto(ws.xcum, nc, ws.ranges)
+		}
+
+		// Preprocessing (Algorithm 2, ESTIMATE-BUCKETS): count per
+		// (chunk, bucket) insertions.
+		estimateBuckets(a, x, ws, ex, t, nc, nb, shift)
+
+		// Two-level exclusive prefix turns counts into private write
+		// cursors: bucket-major, chunk-minor, so entries of one bucket
+		// are contiguous and each chunk's slice of each bucket is
+		// disjoint — the bucket layout is therefore identical no
+		// matter which worker executes which chunk.
+		for b := 0; b < nb; b++ {
+			ws.bucketStart[b] = total
+			for c := 0; c < nc; c++ {
+				idx := c*nb + b
+				cnt := ws.boffset[idx]
+				ws.boffset[idx] = total
+				total += cnt
+			}
 		}
 	}
 	ws.bucketStart[nb] = total
@@ -124,6 +121,51 @@ func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semir
 	ws.Steps.Output = timer.Lap()
 	ws.foldSched(t)
 	return outBits != nil
+}
+
+// kernelGrain is the fewest flops (selected matrix entries) a thread
+// must get: a call runs on t = clamp(df/kernelGrain, 1, min(Threads,
+// f)) threads. Two threads start at df = 2·kernelGrain = 65536, the
+// one-thread/two-thread crossover BenchmarkKernelGrain measures at 2 Ps
+// (EXPERIMENTS.md). A variable only so that in-package tests can force
+// the parallel path on small inputs.
+var kernelGrain int64 = 32768
+
+// kernelThreads sizes a call to its work: t = clamp(df/kernelGrain, 1,
+// min(threads, f)). The paper's analysis assumes t ≤ f, since more
+// threads than input nonzeros cannot be given distinct Step-1 work.
+func kernelThreads(threads, f int, df int64) int {
+	t := min(threads, f)
+	if byWork := df / kernelGrain; byWork < int64(t) {
+		t = int(max(byWork, 1))
+	}
+	return t
+}
+
+// bucketGeometry maps rows to buckets. The paper assigns row i to
+// bucket ⌊i·nb/m⌋ with nb = perThread·t; we round the rows-per-bucket
+// up to a power of two so the mapping is a shift (i >> shift) instead
+// of two 64-bit divisions per matrix nonzero — same contiguous row
+// ranges, ≤ the requested bucket count, measurably faster Steps 1
+// and 2. Buckets exist so that t threads can write and merge without
+// locks; one thread gets a single bucket spanning every row.
+func bucketGeometry(m sparse.Index, t, perThread int) (shift uint, nb int) {
+	nbReq := int64(1)
+	if t > 1 {
+		nbReq = int64(perThread) * int64(t)
+	}
+	for int64(m) > nbReq<<shift {
+		shift++
+	}
+	nb = int((int64(m) + (int64(1) << shift) - 1) >> shift)
+	return shift, max(nb, 1)
+}
+
+// bucketRows returns the row range [lo, hi) of bucket b, clipped to the
+// m rows (a single bucket's 2^shift rows may not fit in an Index).
+func bucketRows(b int, shift uint, m sparse.Index) (lo, hi sparse.Index) {
+	l := int64(b) << shift
+	return sparse.Index(l), sparse.Index(min(l+int64(1)<<shift, int64(m)))
 }
 
 // estimateBuckets implements Algorithm 2: each chunk's share of x is
@@ -192,9 +234,8 @@ func outputStep(y *sparse.SpVec, outBits *sparse.BitVec, ws *Workspace, ex *par.
 			y.Val[off+int64(i)] = ws.spaVal[ind]
 		}
 		if outBits != nil && len(u) > 0 {
-			bLo := sparse.Index(b) << shift
-			outBits.SetRangeFrom(y.Ind[off:off+int64(len(u))], y.Val[off:off+int64(len(u))],
-				bLo, bLo+(sparse.Index(1)<<shift))
+			bLo, bHi := bucketRows(b, shift, y.N)
+			outBits.SetRangeFrom(y.Ind[off:off+int64(len(u))], y.Val[off:off+int64(len(u))], bLo, bHi)
 		}
 		ctr.OutputWritten += int64(len(u))
 	}, &ws.sched)

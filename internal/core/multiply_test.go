@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"spmspv/internal/baselines"
+	"spmspv/internal/perf"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
@@ -380,6 +381,8 @@ func TestPermutationEquivariance(t *testing.T) {
 }
 
 func TestStepTimesPopulated(t *testing.T) {
+	// Estimate does real work only on the paper's t ≥ 2 path.
+	defer setGrain(1)()
 	rng := rand.New(rand.NewSource(23))
 	a := testutil.RandomCSC(rng, 5000, 5000, 8)
 	x := testutil.RandomVector(rng, 5000, 2000, true)
@@ -397,7 +400,11 @@ func TestStepTimesPopulated(t *testing.T) {
 func TestCountersWorkEfficiency(t *testing.T) {
 	// The defining property of the paper: total work of the bucket
 	// algorithm is independent of thread count (within rounding), while
-	// the input-scan work of CombBLAS-SPA grows linearly with t.
+	// the input-scan work of CombBLAS-SPA grows linearly with t. The
+	// grain is lowered so that every t ≥ 2 runs the paper's two-pass
+	// path; the one-thread call skips the counting pass and must do no
+	// more work than two threads.
+	defer setGrain(1)()
 	rng := rand.New(rand.NewSource(29))
 	a := testutil.RandomCSC(rng, 20000, 20000, 8)
 	x := testutil.RandomVector(rng, 20000, 500, true)
@@ -406,15 +413,22 @@ func TestCountersWorkEfficiency(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		ws := NewWorkspace(0, 0)
 		y := sparse.NewSpVec(0, 0)
-		Multiply(a, x, y, semiring.Arithmetic, ws, Options{Threads: threads})
+		// The static merge gives slot 1 a fixed share of the buckets.
+		Multiply(a, x, y, semiring.Arithmetic, ws, Options{Threads: threads, MergeSched: SchedStatic})
 		c := ws.TotalCounters()
 		work[threads] = c.XScanned + c.MatrixTouched + c.SPAInit + c.SPAUpdates + c.BucketWrites
+		if threads > 1 && ws.Counters[1] == (perf.Counters{}) {
+			t.Errorf("t=%d: slot 1 did no work; the parallel path did not run", threads)
+		}
 	}
-	base := work[1]
-	for threads, w := range work {
+	if work[1] > work[2] {
+		t.Errorf("one-thread work %d exceeds two-thread work %d", work[1], work[2])
+	}
+	base := work[2]
+	for _, threads := range []int{4, 8} {
 		// Allow 5% slack for bucket-count-dependent rounding.
-		if float64(w) > 1.05*float64(base) {
-			t.Errorf("t=%d: total work %d exceeds 1.05× single-thread work %d — not work-efficient",
+		if w := work[threads]; float64(w) > 1.05*float64(base) {
+			t.Errorf("t=%d: total work %d exceeds 1.05× two-thread work %d — not work-efficient",
 				threads, w, base)
 		}
 	}

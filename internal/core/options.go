@@ -8,7 +8,9 @@
 //
 //	Estimate (Algorithm 2): each thread counts how many scaled matrix
 //	  entries it will write into each bucket, so that Step 1 can run
-//	  without any synchronization.
+//	  without any synchronization. It runs only when t ≥ 2: a call
+//	  sized to one thread writes all df entries into a single bucket
+//	  whose size is df itself.
 //	Step 1 (bucketing): the columns A(:,j) with x(j) ≠ 0 are scaled by
 //	  x(j) and scattered into nb buckets by row id (bucket ⌊i·nb/m⌋),
 //	  each thread writing through private, precomputed cursors.
@@ -17,6 +19,11 @@
 //	  recording the unique row indices it produced.
 //	Step 3 (output): a prefix sum over per-bucket unique counts places
 //	  every bucket's results at its final offset in y without locks.
+//
+// Each call sizes t to its work: with df the number of matrix entries x
+// selects (read from the column pointers in O(f)), t = clamp(df/grain,
+// 1, min(Threads, f)), where the grain is the measured one-thread /
+// two-thread crossover (see kernelGrain).
 //
 // Total work is O(df) for an Erdős–Rényi G(n, d/n) matrix and an input
 // with f nonzeros, matching the problem's lower bound; the parallel

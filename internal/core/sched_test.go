@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spmspv/internal/perf"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
@@ -31,8 +32,11 @@ func schedVariants() []struct {
 // never from which worker executes the chunk — the stealing schedule
 // must produce outputs BIT-identical (not merely numerically close) to
 // the static and dynamic schedules, for single multiplies, masked
-// multiplies and the batched path, across thread counts.
+// multiplies and the batched path, across thread counts. The grain is
+// lowered so that every thread count above one runs the parallel path
+// on these small inputs.
 func TestSchedulesBitIdentical(t *testing.T) {
+	defer setGrain(1)()
 	rng := rand.New(rand.NewSource(99))
 	a := testutil.RandomCSC(rng, 700, 700, 6)
 	mask := sparse.NewBitVec(700)
@@ -56,6 +60,9 @@ func TestSchedulesBitIdentical(t *testing.T) {
 				ws := NewWorkspace(0, 0)
 				y := sparse.NewSpVec(0, 0)
 				Multiply(a, x, y, semiring.Arithmetic, ws, opt)
+				if threads > 1 && sv.sched == SchedStatic && ws.Counters[1] == (perf.Counters{}) {
+					t.Fatalf("t=%d f=%d: slot 1 did no work; the parallel path did not run", threads, x.NNZ())
+				}
 				ym := sparse.NewSpVec(0, 0)
 				MultiplyMasked(a, x, ym, semiring.Arithmetic, mask, false, ws, opt)
 				mu := NewMultiplier(a, opt)
@@ -96,8 +103,10 @@ func requireBitIdentical(t *testing.T, label string, want, got *sparse.SpVec) {
 // claims+steals total — are identical across repeated runs at a fixed
 // thread count under every schedule, even though which worker claims
 // which chunk (and hence the claims/steals split and idle time) is
-// scheduling-dependent.
+// scheduling-dependent. The lowered grain keeps t = 4 on the parallel
+// path, whose counting pass reads x a second time.
 func TestWorkCountersDeterministicAtFixedThreads(t *testing.T) {
+	defer setGrain(1)()
 	rng := rand.New(rand.NewSource(5))
 	a := testutil.RandomCSC(rng, 800, 800, 5)
 	x := testutil.RandomVector(rng, 800, 150, true)
@@ -125,6 +134,9 @@ func TestWorkCountersDeterministicAtFixedThreads(t *testing.T) {
 				}
 			}
 			first := take()
+			if want := int64(x.NNZ()) * int64(min(threads, 2)); first.xs != want {
+				t.Fatalf("%s t=%d: XScanned %d, want %d", sv.name, threads, first.xs, want)
+			}
 			for run := 1; run < 4; run++ {
 				if got := take(); got != first {
 					t.Fatalf("%s t=%d: run %d counters %+v differ from first run %+v",

@@ -48,14 +48,16 @@ type Workspace struct {
 	ranges [][2]int
 
 	// Batched-multiply buffers: the concatenation of the batch's input
-	// vectors (batchInd/batchVal) with frontier boundaries batchOff
-	// (length k+1), and uval — per-bucket unique values copied out of
-	// the SPA at merge time, because successive frontiers of a batch
-	// reuse the same SPA row range before the output step runs.
-	batchInd []sparse.Index
-	batchVal []float64
-	batchOff []int64
-	uval     []float64
+	// vectors (batchInd/batchVal) with frontier boundaries batchOff and
+	// cumulative per-frontier flops batchWork (both length k+1), and
+	// uval — per-bucket unique values copied out of the SPA at merge
+	// time, because successive frontiers of a batch reuse the same SPA
+	// row range before the output step runs.
+	batchInd  []sparse.Index
+	batchVal  []float64
+	batchOff  []int64
+	batchWork []int64
+	uval      []float64
 
 	// staging is the optional per-worker Step-1 staging slab
 	// (StagingEntries × nb entries each) with fill counts.
@@ -230,6 +232,7 @@ func (ws *Workspace) ensureBatch(totalF int64, k int) {
 	}
 	if len(ws.batchOff) < k+1 {
 		ws.batchOff = make([]int64, k+1)
+		ws.batchWork = make([]int64, k+1)
 	}
 }
 

@@ -27,13 +27,17 @@ const (
 // threads, 4 buckets per thread, epoch-tag merging, dynamic bucket
 // scheduling, and the nonzero-balanced Step-1 split.
 type Options struct {
-	// Threads is the number of worker threads t; ≤ 0 means GOMAXPROCS.
-	// Following the paper's analysis the effective t never exceeds
-	// nnz(x).
+	// Threads is the most worker threads t a call may use; ≤ 0 means
+	// GOMAXPROCS. Following the paper's analysis the effective t never
+	// exceeds nnz(x), and the bucket engine sizes it further to the
+	// call's flop count df (the matrix entries x selects), so that each
+	// thread gets enough work to pay for its dispatch.
 	Threads int
 
-	// BucketsPerThread sets nb = BucketsPerThread·t. The paper uses 4
-	// ("we use 4t buckets when using t threads", §III-A); 0 means 4.
+	// BucketsPerThread sets nb = BucketsPerThread·t when a bucket-engine
+	// call runs on t ≥ 2 threads. The paper uses 4 ("we use 4t buckets
+	// when using t threads", §III-A); 0 means 4. A call sized to one
+	// thread uses one bucket, which needs no counting pass.
 	BucketsPerThread int
 
 	// SortOutput produces y with strictly increasing indices by radix

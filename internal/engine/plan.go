@@ -105,6 +105,23 @@ func (p *Plan) getVec() *sparse.SpVec {
 
 func (p *Plan) putVec(v *sparse.SpVec) { p.scratch.Put(v) }
 
+// PlanCache is implemented by engine handles that keep compiled plans
+// across calls, such as the public Multiplier, which caches one plan per
+// descriptor shape. An iterative algorithm handed such an engine reuses
+// the handle's plan instead of compiling its own for every run.
+type PlanCache interface {
+	CachedPlan(s Shape) *Plan
+}
+
+// PlanFor returns the plan for e at shape s: the cached one when e is a
+// PlanCache, else a freshly compiled one.
+func PlanFor(e Engine, s Shape) *Plan {
+	if c, ok := e.(PlanCache); ok {
+		return c.CachedPlan(s)
+	}
+	return CompilePlan(e, s)
+}
+
 // CompilePlan resolves the capability dispatch for e at shape s. The
 // returned plan is the shape's entire execution strategy; nothing about
 // e is re-discovered per call.

@@ -412,6 +412,22 @@ func (m *Multiplier) planFor(s engine.Shape) *engine.Plan {
 	return p.(*engine.Plan)
 }
 
+// cachedEngine is the engine handed to internal/algorithms: the
+// multiplier's engine plus its per-shape plan cache, which
+// engine.PlanFor consults so that a search reuses the plan Mult would
+// use instead of compiling one per call. Plans are compiled on the
+// bare engine, never on this wrapper, whose method set hides the
+// engine's optional extensions.
+type cachedEngine struct {
+	engine.Engine
+	m *Multiplier
+}
+
+func (c cachedEngine) CachedPlan(s engine.Shape) *engine.Plan { return c.m.planFor(s) }
+
+// algEngine returns m's engine with its plan cache attached.
+func (m *Multiplier) algEngine() engine.Engine { return cachedEngine{m.eng, m} }
+
 // transposed returns the multiplier bound to Aᵀ with the same algorithm
 // and options, building it exactly once — concurrent first callers
 // block until it is ready.
@@ -487,7 +503,7 @@ func (m *Multiplier) ResetCounters() { m.eng.ResetCounters() }
 // matrix (columns are out-neighbor lists) and returns parents, levels
 // and per-level frontier sizes.
 func BFS(m *Multiplier, source Index) *BFSResult {
-	return algorithms.BFS(m.eng, m.a.NumCols, source, false)
+	return algorithms.BFS(m.algEngine(), m.a.NumCols, source, false)
 }
 
 // BFSMasked runs BFS with the visited-set filter pushed into the
@@ -497,7 +513,7 @@ func BFS(m *Multiplier, source Index) *BFSResult {
 // the engine emits output bitmaps natively. Results are identical to
 // BFS; every registered engine is supported.
 func BFSMasked(m *Multiplier, source Index) *BFSResult {
-	return algorithms.BFSMasked(m.eng, m.a.NumCols, source)
+	return algorithms.BFSMasked(m.algEngine(), m.a.NumCols, source)
 }
 
 // MultiBFS runs one breadth-first search per source concurrently,
@@ -506,7 +522,7 @@ func BFSMasked(m *Multiplier, source Index) *BFSResult {
 // BFS per source; the batch amortizes per-call engine setup across the
 // sources.
 func MultiBFS(m *Multiplier, sources []Index) *MultiBFSResult {
-	return algorithms.MultiBFS(m.eng, m.a.NumCols, sources, false)
+	return algorithms.MultiBFS(m.algEngine(), m.a.NumCols, sources, false)
 }
 
 // MultiBFSMasked is MultiBFS with every search's visited filter pushed
@@ -517,7 +533,7 @@ func MultiBFS(m *Multiplier, sources []Index) *MultiBFSResult {
 // direction-optimized multi-source pipeline performs zero list→bitmap
 // output conversions. Trees are identical to running BFS per source.
 func MultiBFSMasked(m *Multiplier, sources []Index) *MultiBFSResult {
-	return algorithms.MultiBFSMasked(m.eng, m.a.NumCols, sources)
+	return algorithms.MultiBFSMasked(m.algEngine(), m.a.NumCols, sources)
 }
 
 // SpreadSources picks k BFS roots spread evenly across the vertex
@@ -530,7 +546,7 @@ func SpreadSources(n, base Index, k int) []Index {
 // PageRank runs the data-driven PageRank on a multiplier bound to a
 // column-normalized matrix (see NormalizeColumns).
 func PageRank(m *Multiplier, opt PageRankOptions) *PageRankResult {
-	return algorithms.PageRank(m.eng, m.a.NumCols, opt)
+	return algorithms.PageRank(m.algEngine(), m.a.NumCols, opt)
 }
 
 // NormalizeColumns returns a copy of a with columns scaled to sum to 1.
@@ -539,7 +555,7 @@ func NormalizeColumns(a *Matrix) *Matrix { return algorithms.NormalizeColumns(a)
 // ConnectedComponents labels every vertex of an undirected graph with
 // its component's minimum vertex id.
 func ConnectedComponents(m *Multiplier) []Index {
-	return algorithms.ConnectedComponents(m.eng, m.a.NumCols)
+	return algorithms.ConnectedComponents(m.algEngine(), m.a.NumCols)
 }
 
 // MaximalIndependentSet computes a maximal independent set of an
@@ -548,18 +564,18 @@ func ConnectedComponents(m *Multiplier) []Index {
 // stripped copy is multiplied instead (Luby's rounds require a simple
 // graph).
 func MaximalIndependentSet(m *Multiplier, seed int64) []bool {
-	eng := m.eng
+	mm := m
 	if m.a.HasSelfLoops() {
-		eng = m.mustMultiplier(sparse.StripSelfLoops(m.a)).eng
+		mm = m.mustMultiplier(sparse.StripSelfLoops(m.a))
 	}
-	return algorithms.MaximalIndependentSet(eng, m.a.NumCols, seed)
+	return algorithms.MaximalIndependentSet(mm.algEngine(), m.a.NumCols, seed)
 }
 
 // SSSP computes single-source shortest path distances over non-negative
 // edge weights (A(i,j) is the weight of edge j→i); unreachable vertices
 // get +Inf.
 func SSSP(m *Multiplier, source Index) []float64 {
-	return algorithms.SSSP(m.eng, m.a.NumCols, source)
+	return algorithms.SSSP(m.algEngine(), m.a.NumCols, source)
 }
 
 // Local clustering and matching (paper §I motivating applications).
@@ -574,7 +590,7 @@ type (
 // LocalCluster runs the ACL push algorithm from seed on the
 // multiplier's (undirected) graph and returns the sweep-cut cluster.
 func LocalCluster(m *Multiplier, seed Index, opt ACLOptions) *ACLResult {
-	return algorithms.ACL(m.eng, algorithms.Degrees(m.a), seed, opt)
+	return algorithms.ACL(m.algEngine(), algorithms.Degrees(m.a), seed, opt)
 }
 
 // MultiCluster runs the ACL push algorithm from k seeds in lockstep,
@@ -583,7 +599,7 @@ func LocalCluster(m *Multiplier, seed Index, opt ACLOptions) *ACLResult {
 // running LocalCluster per seed; the batch amortizes per-call engine
 // setup across the seeds' small push frontiers.
 func MultiCluster(m *Multiplier, seeds []Index, opt ACLOptions) []*ACLResult {
-	return algorithms.MultiCluster(m.eng, algorithms.Degrees(m.a), seeds, opt)
+	return algorithms.MultiCluster(m.algEngine(), algorithms.Degrees(m.a), seeds, opt)
 }
 
 // MaximalMatching computes a maximal matching of the bipartite graph
@@ -592,7 +608,7 @@ func MultiCluster(m *Multiplier, seeds []Index, opt ACLOptions) []*ACLResult {
 // cached transpose engine — the one Desc.Transpose uses — built once
 // per Multiplier with the same algorithm and options.
 func MaximalMatching(m *Multiplier) (rowMate, colMate []Index) {
-	return algorithms.MaximalMatching(m.eng, m.transposed().eng, m.a.NumRows, m.a.NumCols)
+	return algorithms.MaximalMatching(m.algEngine(), m.transposed().algEngine(), m.a.NumRows, m.a.NumCols)
 }
 
 // Element-wise vector operations (GraphBLAS-style combinators).

@@ -8,6 +8,7 @@ import (
 
 	spmspv "spmspv"
 	"spmspv/internal/algorithms"
+	"spmspv/internal/engine"
 )
 
 func exampleMatrix(t *testing.T) *spmspv.Matrix {
@@ -186,6 +187,34 @@ func TestFacadeGraphAlgorithms(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("PageRank does not sum to 1: %g", sum)
+	}
+}
+
+// TestFacadeAlgorithmsReuseCachedPlans pins that the facade's graph
+// algorithms run on the Multiplier's cached per-shape plans: after one
+// warm-up run of each, repeating them compiles no engine plan.
+func TestFacadeAlgorithmsReuseCachedPlans(t *testing.T) {
+	g := spmspv.TriangularMesh(8, 8, 3)
+	mu := newMultiplier(t, g, spmspv.Bucket, spmspv.Options{})
+	pr := newMultiplier(t, spmspv.NormalizeColumns(g), spmspv.Bucket, spmspv.Options{})
+	runAll := func() {
+		spmspv.BFS(mu, 0)
+		spmspv.BFSMasked(mu, 0)
+		spmspv.MultiBFS(mu, []spmspv.Index{0, 5})
+		spmspv.MultiBFSMasked(mu, []spmspv.Index{0, 5})
+		spmspv.ConnectedComponents(mu)
+		spmspv.MaximalIndependentSet(mu, 1)
+		spmspv.SSSP(mu, 0)
+		spmspv.LocalCluster(mu, 0, spmspv.ACLOptions{})
+		spmspv.MultiCluster(mu, []spmspv.Index{0, 5}, spmspv.ACLOptions{})
+		spmspv.MaximalMatching(mu)
+		spmspv.PageRank(pr, spmspv.PageRankOptions{})
+	}
+	runAll()
+	before := engine.PlanCompilations()
+	runAll()
+	if d := engine.PlanCompilations() - before; d != 0 {
+		t.Errorf("warm facade algorithms compiled %d engine plans, want 0", d)
 	}
 }
 
